@@ -21,6 +21,7 @@ from .decoder import (
     consistency_box,
     decode_classical,
     decode_sequence,
+    decode_streams,
     parity_test,
     step,
     top_candidates,

@@ -9,6 +9,16 @@ infeasibility proofs), (3) optionally also requires candidates to be
 compatible with the parity bank, and (4) returns the first survivor in
 likelihood order together with its contracted signal box.
 
+Decoding runs in lockstep: B independent streams advance one instant at
+a time together, their histories held as arrays of shape (B, L, N) and
+(B, L', M), so each of the steps above is one numpy pass over all B*K
+candidates.  The candidate lists of a stream are built beforehand, for
+all instants at once, and shared by every decoder variant that reads
+the same soft bits.  A single stream (decode_sequence, step) is the
+case B = 1.  Every matrix product keeps the shape it has for one
+stream, and the contractor stops each stream at its own stall test, so
+a stream decodes bit for bit the same whatever else runs beside it.
+
 The point estimate for the whole stream is assembled afterwards: the
 decoded index vectors are dequantized and passed through the same
 windowed least-squares synthesis the classical receiver uses, so on a
@@ -24,7 +34,7 @@ rolled back, so one bad instant may degrade its successors.  That
 matches the reference behavior this module reimplements.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +56,7 @@ __all__ = [
     "parity_test",
     "step",
     "decode_sequence",
+    "decode_streams",
     "decode_classical",
 ]
 
@@ -56,6 +67,10 @@ FLAG_NO_CONSISTENT = 1
 FLAG_PARITY_EXHAUSTED = 2
 
 _PARITY_RTOL = 1e-12
+# elements of the largest array one chunk of candidate listing builds:
+# chunk * n_max^2 merged partial vectors, or chunk * 2^R * R soft-bit
+# distances of an R-bit subband
+_LIST_CHUNK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -106,89 +121,198 @@ class DecodeDiagnostics:
         return float(np.mean(self.flags != FLAG_CLEAN))
 
 
+def _stack_boxes(boxes, dim):
+    """Endpoints of a list of boxes as two (1, len, dim) arrays."""
+    if not boxes:
+        return np.zeros((1, 0, dim)), np.zeros((1, 0, dim))
+    return (np.stack([b.lo for b in boxes])[None], np.stack([b.hi for b in boxes])[None])
+
+
 class DecoderState:
-    """Sliding decoding history: input box and the last L signal boxes
-    and L' subband boxes, most recent first."""
+    """Sliding decoding history of B streams decoded in lockstep: the
+    shared input box and, per stream, the last L signal boxes and the
+    last L' subband boxes, most recent first, as endpoint arrays
+    x_lo, x_hi of shape (B, L, N) and y_lo, y_hi of shape (B, L', M).
+
+    The constructor takes one stream's history as lists of Box, and
+    x_hist and y_hist give a one-stream history back in that form.
+    """
 
     def __init__(self, input_box, x_hist, y_hist):
         self.input_box = input_box
-        self.x_hist = list(x_hist)
-        self.y_hist = list(y_hist)
+        self.x_lo, self.x_hi = _stack_boxes(list(x_hist), input_box.dim)
+        y_hist = list(y_hist)
+        self.y_lo, self.y_hi = _stack_boxes(y_hist, y_hist[0].dim if y_hist else 0)
 
     @classmethod
-    def initial(cls, input_box, poly, parity):
+    def initial(cls, input_box, poly, parity, streams=1):
         """Histories start as the degenerate all-zero boxes, which is
         exact for streams whose pre-start blocks are zero."""
-        x0 = [Box.point(np.zeros(poly.N)) for _ in range(poly.L)]
-        y0 = [Box.point(np.zeros(poly.M)) for _ in range(parity.order)]
-        return cls(input_box, x0, y0)
+        state = cls(input_box, [], [])
+        state.x_lo = np.zeros((streams, poly.L, poly.N))
+        state.x_hi = np.zeros((streams, poly.L, poly.N))
+        state.y_lo = np.zeros((streams, parity.order, poly.M))
+        state.y_hi = np.zeros((streams, parity.order, poly.M))
+        return state
+
+    @staticmethod
+    def _boxes(lo, hi):
+        if lo.shape[0] != 1:
+            raise ValueError("box lists describe a single-stream history")
+        return [Box(l, h) for l, h in zip(lo[0], hi[0])]
+
+    @property
+    def x_hist(self):
+        return self._boxes(self.x_lo, self.x_hi)
+
+    @property
+    def y_hist(self):
+        return self._boxes(self.y_lo, self.y_hi)
 
     def push(self, x_box, y_box):
-        if self.x_hist:
-            self.x_hist = [x_box] + self.x_hist[:-1]
-        if self.y_hist:
-            self.y_hist = [y_box] + self.y_hist[:-1]
+        """Push one stream's boxes onto its history."""
+        self._push(x_box.lo[None], x_box.hi[None], y_box.lo[None], y_box.hi[None])
+
+    def _push(self, x_lo, x_hi, y_lo, y_hi):
+        """Push (B, N) signal and (B, M) subband box endpoints."""
+        if self.x_lo.shape[1]:
+            self.x_lo = np.concatenate([x_lo[:, None], self.x_lo[:, :-1]], axis=1)
+            self.x_hi = np.concatenate([x_hi[:, None], self.x_hi[:, :-1]], axis=1)
+        if self.y_lo.shape[1]:
+            self.y_lo = np.concatenate([y_lo[:, None], self.y_lo[:, :-1]], axis=1)
+            self.y_hi = np.concatenate([y_hi[:, None], self.y_hi[:, :-1]], axis=1)
+
+
+def _matvec(A, X):
+    """A @ x for every row x of X, each rounded exactly like the single
+    matrix-vector product (a batched matmul of (n, 1) columns)."""
+    return np.matmul(A, X[..., None])[..., 0]
+
+
+def _candidate_lists(r, q, sig2, n_max):
+    """The n_max most likely index vectors of every instant, best first.
+
+    r is a (T, total_bits) array of soft bits.  Returns (u, scores):
+    the (T, K, M) index vectors and their (T, K) log-likelihoods, K
+    being the list length (n_max, or fewer when the bank has fewer
+    index vectors).  Instants are listed in chunks that bound the
+    memory of the merge arrays.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2 or r.shape[1] != q.total_bits:
+        raise ValueError(f"expected {q.total_bits} bits per instant")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("soft bits must be finite")
+    T = r.shape[0]
+    K = 1
+    for R in q.rates:
+        K = min(n_max, K * min(n_max, 1 << int(R)))
+    u = np.empty((T, K, q.M), dtype=np.int64)
+    scores = np.empty((T, K))
+    widest = max([n_max * n_max] + [(1 << int(R)) * int(R) for R in q.rates])
+    chunk = max(1, _LIST_CHUNK_ELEMENTS // widest)
+    for t in range(0, T, chunk):
+        u[t:t + chunk], scores[t:t + chunk] = _list_chunk(r[t:t + chunk], q, sig2, n_max)
+    return u, scores
+
+
+def _list_chunk(r, q, sig2, n_max):
+    """Breadth-first listing over subbands for a chunk of instants.
+
+    Per-subband scores are sums of bit log-likelihoods, partial vectors
+    are ranked by total score with lexicographic tie-break on the index
+    vector, and only the n_max best partials survive each stage.
+    Because scores add across subbands and ties break on prefixes
+    first, the surviving list equals the top of the exhaustive ranking.
+    The lexicographic order of a new partial is that of (its parent's
+    lexicographic rank, its new index), so no sort looks at whole
+    vectors.
+    """
+    C = r.shape[0]
+    part_u = np.zeros((C, 1, 0), dtype=np.int64)
+    part_scores = np.zeros((C, 1))
+    part_rank = np.zeros((C, 1), dtype=np.int64)  # lexicographic rank
+    for m in range(q.M):
+        codes = q.index_codes(m)
+        symbols = 1.0 - 2.0 * codes.astype(float)
+        rm = r[:, q.bit_slices[m]]
+        scores = -np.sum((rm[:, None, :] - symbols) ** 2, axis=2) / (2.0 * sig2)
+        # ties keep index order, which is ascending u
+        stage = np.argsort(-scores, axis=1, kind="stable")[:, :n_max]
+        stage_scores = np.take_along_axis(scores, stage, axis=1)
+
+        P, S = part_scores.shape[1], stage.shape[1]
+        new_scores = (part_scores[:, :, None] + stage_scores[:, None, :]).reshape(C, P * S)
+        lex = (part_rank[:, :, None] * codes.shape[0] + stage[:, None, :]).reshape(C, P * S)
+        order = _best_first(-new_scores, lex, n_max)
+        parent = order // S
+        new_u = np.take_along_axis(stage, order % S, axis=1) - q.offsets[m]
+        part_u = np.concatenate(
+            [np.take_along_axis(part_u, parent[:, :, None], axis=1), new_u[:, :, None]], axis=2
+        )
+        part_scores = np.take_along_axis(new_scores, order, axis=1)
+        kept = np.take_along_axis(lex, order, axis=1)
+        part_rank = np.argsort(np.argsort(kept, axis=1), axis=1)
+    return part_u, part_scores
+
+
+def _best_first(neg, lex, n):
+    """Column indexes of the n smallest entries of each row of neg,
+    ordered by (neg, lex), the lex entries of a row being distinct.
+
+    Only entries no larger than a row's n-th smallest value can be
+    among its first n, so a partition finds them and only they are
+    sorted; the rows' shorter selections are padded with entries that
+    sort last.
+    """
+    n = min(n, neg.shape[1])
+    nth = np.partition(neg, n - 1, axis=1)[:, n - 1:n]
+    near = neg <= nth
+    cols = np.argsort(~near, axis=1, kind="stable")[:, :int(near.sum(axis=1).max())]
+    pad = ~np.take_along_axis(near, cols, axis=1)
+    sub_neg = np.where(pad, np.inf, np.take_along_axis(neg, cols, axis=1))
+    sub_lex = np.where(pad, np.iinfo(np.int64).max, np.take_along_axis(lex, cols, axis=1))
+    return np.take_along_axis(cols, np.lexsort((sub_lex, sub_neg), axis=1)[:, :n], axis=1)
 
 
 def top_candidates(r, q, ch, n_max):
     """The n_max most likely index vectors for one instant's soft bits.
 
-    Exact breadth-first search over subbands: per-subband scores are
-    sums of bit log-likelihoods, partial vectors are ranked by total
-    score with lexicographic tie-break on the index vector, and only the
-    n_max best partials survive each stage.  Because scores add across
-    subbands and ties break on prefixes first, the surviving list equals
-    the top of the exhaustive ranking.
+    Exact breadth-first search over subbands (see _list_chunk), the
+    one-instant case of the listing decode_streams runs over whole
+    streams.
 
     Returns a list of Candidate, best first.
     """
-    r = np.asarray(r, dtype=float)
-    sig2 = ch.effective_sigma2()
-    part_u = np.zeros((1, 0), dtype=np.int64)
-    part_scores = np.zeros(1)
-    for m in range(q.M):
-        codes = q.index_codes(m)
-        symbols = 1.0 - 2.0 * codes.astype(float)
-        rm = r[q.bit_slices[m]]
-        scores = -np.sum((rm[None, :] - symbols) ** 2, axis=1) / (2.0 * sig2)
-        u_vals = np.arange(codes.shape[0], dtype=np.int64) - q.offsets[m]
-        order = np.lexsort((u_vals, -scores))[:n_max]
-        stage_u = u_vals[order]
-        stage_scores = scores[order]
-
-        P, S = part_scores.size, stage_u.size
-        new_scores = (part_scores[:, None] + stage_scores[None, :]).ravel()
-        new_u = np.concatenate(
-            [np.repeat(part_u, S, axis=0), np.tile(stage_u, P)[:, None]], axis=1
-        )
-        keys = [new_u[:, k] for k in range(new_u.shape[1] - 1, -1, -1)]
-        keys.append(-new_scores)
-        order = np.lexsort(keys)[:n_max]
-        part_u = new_u[order]
-        part_scores = new_scores[order]
+    r = np.asarray(r, dtype=float).reshape(1, -1)
+    u, scores = _candidate_lists(r, q, ch.effective_sigma2(), n_max)
     return [
-        Candidate(u=part_u[k].copy(), loglik=float(part_scores[k]), rank=k + 1)
-        for k in range(part_u.shape[0])
+        Candidate(u=u[0, k].copy(), loglik=float(scores[0, k]), rank=k + 1)
+        for k in range(u.shape[1])
     ]
 
 
 def _history_reach(state, poly):
-    """Interval sum of E_l applied to the previous signal boxes, i.e.
-    the subband contribution already fixed by the decoding history."""
-    c = np.zeros(poly.M)
-    rdy = np.zeros(poly.M)
+    """Interval sum of E_l applied to each stream's previous signal
+    boxes, i.e. the subband contribution already fixed by the decoding
+    history: (lo, hi), each of shape (B, M)."""
+    B = state.x_lo.shape[0]
+    c = np.zeros((B, poly.M))
+    rdy = np.zeros((B, poly.M))
     for l in range(1, poly.L + 1):
-        xb = state.x_hist[l - 1]
-        c = c + poly.E[l] @ xb.center
-        rdy = rdy + np.abs(poly.E[l]) @ xb.radius
-    return Box(c - rdy, c + rdy)
+        lo, hi = state.x_lo[:, l - 1], state.x_hi[:, l - 1]
+        c = c + _matvec(poly.E[l], 0.5 * (lo + hi))
+        rdy = rdy + _matvec(np.abs(poly.E[l]), 0.5 * (hi - lo))
+    return c - rdy, c + rdy
 
 
-def _consistency_batch(u_mat, state, poly, q, cfg):
-    """Contract the input box against every candidate's cell at once.
+def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
+    """Contract the input box against every candidate's cell, for every
+    stream at once.
 
-    Returns (lo, hi, empty): (K, N) endpoint arrays and the mask of
-    candidates proven inconsistent.
+    cell_lo, cell_hi are the (B, K, M) cell endpoints of each stream's
+    K candidates.  Returns (lo, hi, empty): (B, K, N) endpoint arrays
+    and the (B, K) mask of candidates proven inconsistent.
 
     The sweep backend first intersects the prior with the left-inverse
     image E_0^+ [c] of the constraint cells.  Any feasible x satisfies
@@ -197,26 +321,28 @@ def _consistency_batch(u_mat, state, poly, q, cfg):
     sweeps alone cannot contract banks whose E_0 rows mix all input
     components (their fixpoint is the prior itself).
     """
-    K = u_mat.shape[0]
-    reach = _history_reach(state, poly)
-    cell_lo, cell_hi = q.cell_bounds(u_mat)
-    c_lo = cell_lo - reach.hi
-    c_hi = cell_hi - reach.lo
+    B, K, M = cell_lo.shape
+    N = poly.N
+    reach_lo, reach_hi = _history_reach(state, poly)
+    c_lo = cell_lo - reach_hi[:, None, :]
+    c_hi = cell_hi - reach_lo[:, None, :]
+    input_box = state.input_box
     if cfg.contractor == "lp":
-        lo = np.empty((K, poly.N))
-        hi = np.empty((K, poly.N))
-        empty = np.zeros(K, dtype=bool)
-        for k in range(K):
-            box = box_hull_lp(poly.E[0], state.input_box, Box(c_lo[k], c_hi[k]))
-            if box.is_empty:
-                empty[k] = True
-            else:
-                lo[k] = box.lo
-                hi[k] = box.hi
+        lo = np.empty((B, K, N))
+        hi = np.empty((B, K, N))
+        empty = np.zeros((B, K), dtype=bool)
+        for b in range(B):
+            for k in range(K):
+                box = box_hull_lp(poly.E[0], input_box, Box(c_lo[b, k], c_hi[b, k]))
+                if box.is_empty:
+                    empty[b, k] = True
+                else:
+                    lo[b, k] = box.lo
+                    hi[b, k] = box.hi
         return lo, hi, empty
-    lo = np.tile(state.input_box.lo, (K, 1))
-    hi = np.tile(state.input_box.hi, (K, 1))
-    empty = np.zeros(K, dtype=bool)
+    lo = np.broadcast_to(input_box.lo, (B, K, N)).copy()
+    hi = np.broadcast_to(input_box.hi, (B, K, N)).copy()
+    empty = np.zeros((B, K), dtype=bool)
     if poly.e0_has_full_rank:
         W = poly.left_inverse()
         px_c = 0.5 * (c_lo + c_hi) @ W.T
@@ -225,14 +351,18 @@ def _consistency_batch(u_mat, state, poly, q, cfg):
         hi = np.minimum(hi, px_c + px_r)
         gap = lo - hi
         eps = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
-        empty |= np.any(gap > eps, axis=1)
+        empty |= np.any(gap > eps, axis=2)
         mid = 0.5 * (lo + hi)
         touch = gap > 0.0
         lo = np.where(touch, mid, lo)
         hi = np.where(touch, mid, hi)
+    # one contractor group of K rows per stream, so each stream stops at
+    # its own stall test
     empty |= _contract_affine_batch(
-        poly.E[0], lo, hi, c_lo, c_hi, cfg.contractor_tol, cfg.contractor_sweeps
-    )
+        poly.E[0], lo.reshape(B * K, N), hi.reshape(B * K, N),
+        c_lo.reshape(B * K, M), c_hi.reshape(B * K, M),
+        cfg.contractor_tol, cfg.contractor_sweeps, K,
+    ).reshape(B, K)
     return lo, hi, empty
 
 
@@ -241,97 +371,125 @@ def consistency_box(u, state, poly, q, cfg=None):
     the cells of index vector u, given the decoded history; EMPTY when
     the candidate is proven inconsistent."""
     cfg = cfg if cfg is not None else DecoderConfig()
-    u_mat = np.asarray(u, dtype=np.int64).reshape(1, -1)
-    lo, hi, empty = _consistency_batch(u_mat, state, poly, q, cfg)
-    if empty[0]:
+    cell_lo, cell_hi = q.cell_bounds(np.asarray(u, dtype=np.int64).reshape(1, 1, -1))
+    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly, cfg)
+    if empty[0, 0]:
         return Box.empty(poly.N)
-    return Box(lo[0], hi[0])
+    return Box(lo[0, 0], hi[0, 0])
 
 
-def _parity_residual_bounds(u_mat, state, parity, q):
-    """Endpoints of the parity residual interval for each candidate:
-    sum_l P_l [y-hist] plus P_0 applied to the candidate's cells."""
-    hc = np.zeros(parity.rows)
-    hr = np.zeros(parity.rows)
+def _parity_residual_bounds(cell_lo, cell_hi, y_lo, y_hi, parity):
+    """Endpoints of the parity residual interval of every candidate:
+    sum_l P_l [y-hist] plus P_0 applied to the candidate's cells.
+
+    cell_lo, cell_hi: (B, K, M) candidate cells; y_lo, y_hi: (B, L', M)
+    subband histories.  Returns two (B, K, rows) arrays.
+    """
+    B = cell_lo.shape[0]
+    hc = np.zeros((B, parity.rows))
+    hr = np.zeros((B, parity.rows))
     for l in range(1, parity.order + 1):
-        yb = state.y_hist[l - 1]
-        hc = hc + parity.P[l] @ yb.center
-        hr = hr + np.abs(parity.P[l]) @ yb.radius
-    cell_lo, cell_hi = q.cell_bounds(u_mat)
+        lo, hi = y_lo[:, l - 1], y_hi[:, l - 1]
+        hc = hc + _matvec(parity.P[l], 0.5 * (lo + hi))
+        hr = hr + _matvec(np.abs(parity.P[l]), 0.5 * (hi - lo))
     cc = 0.5 * (cell_lo + cell_hi) @ parity.P[0].T
     cr = 0.5 * (cell_hi - cell_lo) @ np.abs(parity.P[0]).T
-    lo = cc + hc - (cr + hr)
-    hi = cc + hc + (cr + hr)
+    lo = cc + hc[:, None] - (cr + hr[:, None])
+    hi = cc + hc[:, None] + (cr + hr[:, None])
     return lo, hi
 
 
 def _parity_pass(lo, hi):
     eps = _PARITY_RTOL * (1.0 + np.abs(lo) + np.abs(hi))
-    return np.all((lo <= eps) & (hi >= -eps), axis=1)
+    return np.all((lo <= eps) & (hi >= -eps), axis=-1)
 
 
 def parity_test(u, state, parity, q):
     """True (keep) iff every parity residual component can be zero when
     the candidate's subbands roam their cells and the previous subbands
     roam their decoded boxes.  A False is a proof of infeasibility."""
-    u_mat = np.asarray(u, dtype=np.int64).reshape(1, -1)
-    lo, hi = _parity_residual_bounds(u_mat, state, parity, q)
-    return bool(_parity_pass(lo, hi)[0])
+    cell_lo, cell_hi = q.cell_bounds(np.asarray(u, dtype=np.int64).reshape(1, 1, -1))
+    lo, hi = _parity_residual_bounds(cell_lo, cell_hi, state.y_lo, state.y_hi, parity)
+    return bool(_parity_pass(lo[0], hi[0])[0])
 
 
-def _fallback(cand, state, poly, q):
-    """Hard-decision recovery when every candidate is inconsistent: fit
-    a point to the dequantized subbands by least squares against the
-    history centers, then pad it with the least-squares sensitivity of
-    the cell radii and clip to the input box."""
-    target = q.dequantize_block(cand.u).astype(float)
+def _fallback(u, x_lo, x_hi, input_box, poly, q):
+    """Hard-decision recovery for streams whose candidates are all
+    inconsistent: fit a point to the dequantized subbands of the
+    leading candidates u (F, M) by least squares against the centers of
+    the (F, L, N) histories, then pad it with the least-squares
+    sensitivity of the cell radii and clip to the input box.  Returns
+    (F, N) box endpoints."""
+    target = q.dequantize_block(u).astype(float)
     for l in range(1, poly.L + 1):
-        target = target - poly.E[l] @ state.x_hist[l - 1].center
+        target = target - _matvec(poly.E[l], 0.5 * (x_lo[:, l - 1] + x_hi[:, l - 1]))
     pinv = poly.left_inverse()
-    point = np.clip(pinv @ target, state.input_box.lo, state.input_box.hi)
+    point = np.clip(_matvec(pinv, target), input_box.lo, input_box.hi)
     rad = np.abs(pinv) @ (0.5 * q.deltas)
-    return Box(point - rad, point + rad).intersect(state.input_box)
+    return np.maximum(point - rad, input_box.lo), np.minimum(point + rad, input_box.hi)
 
 
-def step(r_inst, state, poly, parity, q, ch, cfg):
-    """Decode one instant and push its boxes onto the history.
+def _advance(state, u, cell_lo, cell_hi, use_pct, poly, parity, q, cfg):
+    """Decode one instant of B streams and push their boxes onto the
+    history.
 
-    Candidates are scanned in likelihood order: the consistency test
-    prunes first; with use_pct the parity test then picks the first
+    u holds each stream's (B, K, M) candidates in likelihood order and
+    cell_lo, cell_hi their cells; use_pct is a (B,) mask.  Candidates
+    are scanned in likelihood order: the consistency test prunes first;
+    on streams with use_pct the parity test then picks the first
     survivor it accepts (falling back to the first survivor with an
     error flag when it accepts none).  When consistency rejects
     everything, the flagged hard-decision fallback is returned.
+
+    Returns (u_hat, x_lo, x_hi, y_lo, y_hi, flag, pick, n_consistent),
+    one row per stream; pick is the 0-based list position decided.
     """
-    cands = top_candidates(r_inst, q, ch, cfg.n_max)
-    u_mat = np.stack([c.u for c in cands])
-    lo, hi, empty = _consistency_batch(u_mat, state, poly, q, cfg)
-    live = np.flatnonzero(~empty)
-    if live.size == 0:
-        u_hat = cands[0].u
-        x_box = _fallback(cands[0], state, poly, q)
-        flag = FLAG_NO_CONSISTENT
-        pick = 0
-    else:
-        pick = int(live[0])
-        flag = FLAG_CLEAN
-        if cfg.use_pct:
-            plo, phi = _parity_residual_bounds(u_mat[live], state, parity, q)
-            ok = np.flatnonzero(_parity_pass(plo, phi))
-            if ok.size:
-                pick = int(live[ok[0]])
-            else:
-                flag = FLAG_PARITY_EXHAUSTED
-        u_hat = u_mat[pick]
-        x_box = Box(lo[pick], hi[pick])
-    y_box = q.cell_box_block(u_hat)
-    state.push(x_box, y_box)
+    B = u.shape[0]
+    rows = np.arange(B)
+    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly, cfg)
+    live = ~empty
+    n_consistent = np.count_nonzero(live, axis=1)
+    pick = np.argmax(live, axis=1)
+    flag = np.where(n_consistent > 0, FLAG_CLEAN, FLAG_NO_CONSISTENT)
+    par = np.flatnonzero(use_pct & (n_consistent > 0))
+    if par.size:
+        plo, phi = _parity_residual_bounds(
+            cell_lo[par], cell_hi[par], state.y_lo[par], state.y_hi[par], parity
+        )
+        ok = np.zeros_like(live[par])
+        ok[live[par]] = _parity_pass(plo[live[par]], phi[live[par]])
+        found = ok.any(axis=1)
+        pick[par] = np.where(found, np.argmax(ok, axis=1), pick[par])
+        flag[par] = np.where(found, FLAG_CLEAN, FLAG_PARITY_EXHAUSTED)
+    x_lo = lo[rows, pick]
+    x_hi = hi[rows, pick]
+    fb = np.flatnonzero(n_consistent == 0)
+    if fb.size:
+        x_lo[fb], x_hi[fb] = _fallback(
+            u[fb, 0], state.x_lo[fb], state.x_hi[fb], state.input_box, poly, q
+        )
+    y_lo = cell_lo[rows, pick]
+    y_hi = cell_hi[rows, pick]
+    state._push(x_lo, x_hi, y_lo, y_hi)
+    return u[rows, pick], x_lo, x_hi, y_lo, y_hi, flag, pick, n_consistent
+
+
+def step(r_inst, state, poly, parity, q, ch, cfg):
+    """Decode one instant of a single-stream state and push its boxes
+    onto the history; the B = 1 case of the lockstep recursion (see
+    _advance) over the list top_candidates gives."""
+    u = np.stack([c.u for c in top_candidates(r_inst, q, ch, cfg.n_max)])[None]
+    cell_lo, cell_hi = q.cell_bounds(u)
+    u_hat, x_lo, x_hi, y_lo, y_hi, flag, pick, n_consistent = _advance(
+        state, u, cell_lo, cell_hi, np.array([cfg.use_pct]), poly, parity, q, cfg
+    )
     return StepResult(
-        u_hat=u_hat,
-        x_box=x_box,
-        y_box=y_box,
-        flag=flag,
-        rank=pick + 1,
-        n_consistent=int(live.size),
+        u_hat=u_hat[0],
+        x_box=Box(x_lo[0], x_hi[0]),
+        y_box=Box(y_lo[0], y_hi[0]),
+        flag=int(flag[0]),
+        rank=int(pick[0]) + 1,
+        n_consistent=int(n_consistent[0]),
     )
 
 
@@ -354,25 +512,72 @@ def decode_sequence(r, poly, parity, q, ch, cfg, x_range):
     Returns (x_hat, diag): the point estimate of length T*N and
     per-instant diagnostics including the final boxes.
     """
-    r = np.asarray(r, dtype=float)
-    T = r.shape[0]
-    N = poly.N
+    return decode_streams([r], poly, parity, q, [ch], [cfg], x_range)[0][0]
+
+
+def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
+    """Decode several received streams, each under several decoder
+    configs, in lockstep.
+
+    Parameters
+    ----------
+    rs : S arrays of shape (T, total_bits), soft bits of equal length
+    poly, parity, q : the transmit chain's own components
+    channels : S ChannelModel, the channel each stream went through
+    cfgs : V DecoderConfig that differ at most in use_pct and window
+    x_range : Interval of admissible input sample values
+
+    Each stream's candidate lists are built once and shared by its V
+    decoders, and all S*V decoders advance together.  Each decodes
+    exactly as decode_sequence decodes it alone.
+
+    Returns results with results[s][v] = (x_hat, diag), the output of
+    decode_sequence(rs[s], ..., channels[s], cfgs[v], x_range).
+    """
+    cfgs = list(cfgs)
+    base = cfgs[0]
+    if any(replace(c, use_pct=base.use_pct, window=base.window) != base for c in cfgs):
+        raise ValueError("lockstep decoders must share n_max and the contractor settings")
+    if len(rs) != len(channels):
+        raise ValueError("expected one channel per stream")
+    lists = [
+        _candidate_lists(r, q, ch.effective_sigma2(), base.n_max)[0]
+        for r, ch in zip(rs, channels)
+    ]
+    T = lists[0].shape[0]
+    if any(u.shape[0] != T for u in lists):
+        raise ValueError("lockstep streams must have equal length")
+    u = np.stack(lists)  # (S, T, K, M)
+    cell_lo, cell_hi = q.cell_bounds(u)
+    S, V = len(lists), len(cfgs)
+    B = S * V
+    src = np.repeat(np.arange(S), V)  # stream b = s * V + v reads list s
+    use_pct = np.array([c.use_pct for c in cfgs] * S)
+    N, M = poly.N, poly.M
     input_box = Box.uniform(x_range.lo, x_range.hi, N)
-    state = DecoderState.initial(input_box, poly, parity)
-    u_hat = np.empty((T, poly.M), dtype=np.int64)
-    lo = np.empty((T, N))
-    hi = np.empty((T, N))
-    flags = np.empty(T, dtype=np.int64)
-    ranks = np.empty(T, dtype=np.int64)
-    n_consistent = np.empty(T, dtype=np.int64)
+    state = DecoderState.initial(input_box, poly, parity, streams=B)
+    u_hat = np.empty((B, T, M), dtype=np.int64)
+    lo = np.empty((B, T, N))
+    hi = np.empty((B, T, N))
+    flags = np.empty((B, T), dtype=np.int64)
+    ranks = np.empty((B, T), dtype=np.int64)
+    n_consistent = np.empty((B, T), dtype=np.int64)
     for i in range(T):
-        res = step(r[i], state, poly, parity, q, ch, cfg)
-        u_hat[i] = res.u_hat
-        lo[i] = res.x_box.lo
-        hi[i] = res.x_box.hi
-        flags[i] = res.flag
-        ranks[i] = res.rank
-        n_consistent[i] = res.n_consistent
+        u_hat[:, i], lo[:, i], hi[:, i], _, _, flags[:, i], pick, n_consistent[:, i] = _advance(
+            state, u[src, i], cell_lo[src, i], cell_hi[src, i], use_pct, poly, parity, q, base
+        )
+        ranks[:, i] = pick + 1
+    results = [
+        _finish(u_hat[b], lo[b], hi[b], flags[b], ranks[b], n_consistent[b], poly, q, cfgs[b % V])
+        for b in range(B)
+    ]
+    return [results[s * V:(s + 1) * V] for s in range(S)]
+
+
+def _finish(u_hat, lo, hi, flags, ranks, n_consistent, poly, q, cfg):
+    """Synthesize a decoded stream and widen its boxes about the point
+    estimate: (x_hat, diag)."""
+    T, N = lo.shape
     x_hat = synthesize_ls(poly, q.dequantize_block(u_hat), window=cfg.window)
     pts = x_hat.reshape(T, N) if T else np.empty((0, N))
     rad = np.maximum(np.maximum(pts - lo, hi - pts), 0.0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelModel
-from .decoder import DecoderConfig, decode_classical, decode_sequence
+from .decoder import DecoderConfig, decode_classical, decode_sequence, decode_streams
 from .filterbank import (
     analyze,
     default_filter_bank,
@@ -124,6 +124,11 @@ _CONFIG_PARSERS = {
 }
 
 
+# smallest accepted values; the bank-dependent window floor, 2*(L+1),
+# is checked when the Pipeline is built
+_CONFIG_FLOORS = {"n_max": 1, "window": 2}
+
+
 def _parse_bool(s):
     v = s.strip().lower()
     if v in ("1", "true", "yes", "on"):
@@ -140,6 +145,7 @@ def parse_config(text, origin="<config>"):
     ValueError naming the line.
     """
     values = {}
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -155,6 +161,10 @@ def parse_config(text, origin="<config>"):
             values[key] = _CONFIG_PARSERS[key](val)
         except ValueError as exc:
             raise ValueError(f"{origin}:{lineno}: bad value for {key}: {exc}") from None
+        lines[key] = lineno
+    for key, floor in _CONFIG_FLOORS.items():
+        if key in values and values[key] < floor:
+            raise ValueError(f"{origin}:{lines[key]}: {key} must be at least {floor}")
     cfg = ExperimentConfig(**values)
     if cfg.source not in ("ar1", "pgm"):
         raise ValueError(f"{origin}: source must be 'ar1' or 'pgm'")
@@ -184,6 +194,10 @@ class Pipeline:
         self.cfg = cfg
         self.bank = bank
         self.poly = polyphase_from_filters(bank)
+        if cfg.window < 2 * (self.poly.L + 1):
+            raise ValueError(
+                f"window = {cfg.window} is below this bank's floor of {2 * (self.poly.L + 1)}"
+            )
         self.parity = parity_from_polyphase(self.poly)
         if cfg.source == "ar1":
             self.x_range = Interval(-cfg.clip, cfg.clip)
@@ -246,21 +260,21 @@ def _run_realization(args):
     )
     cfg_pct = replace(cfg_plain, use_pct=True)
 
-    per_snr = []
-    for j, snr in enumerate(cfg.snr_db):
-        ch = ChannelModel(snr, seed=cfg.seed, noiseless=cfg.noiseless)
-        r = ch.transmit(bits, ch.stream(_CHANNEL_KEY, realization, j))
-        ber = float(np.mean(ChannelModel.hard_decision(r) != bits))
+    channels = [ChannelModel(snr, seed=cfg.seed, noiseless=cfg.noiseless) for snr in cfg.snr_db]
+    rs = [
+        ch.transmit(bits, ch.stream(_CHANNEL_KEY, realization, j))
+        for j, ch in enumerate(channels)
+    ]
+    # all 2 * len(snr_db) decoder streams of the realization in lockstep
+    decoded = decode_streams(rs, poly, parity, q, channels, (cfg_plain, cfg_pct), pipe.x_range)
 
+    per_snr = []
+    for r, ((x_prop, diag_prop), (x_pct, diag_pct)) in zip(rs, decoded):
+        ber = float(np.mean(ChannelModel.hard_decision(r) != bits))
         x_cl = decode_classical(r, poly, q, window=cfg.window)
         cl_snr = reconstruction_snr(x, x_cl, pipe.skip)
-
-        x_prop, diag_prop = decode_sequence(r, poly, parity, q, ch, cfg_plain, pipe.x_range)
         prop_snr = reconstruction_snr(x, x_prop, pipe.skip)
-
-        x_pct, diag_pct = decode_sequence(r, poly, parity, q, ch, cfg_pct, pipe.x_range)
         pct_snr = reconstruction_snr(x, x_pct, pipe.skip)
-
         per_snr.append(
             (cl_snr, ber, prop_snr, diag_prop.error_rate, pct_snr, diag_pct.error_rate)
         )
@@ -285,6 +299,7 @@ def run_sweep(cfg):
     reduction over realizations is ordered by realization index, so the
     result does not depend on cfg.workers.
     """
+    _pipeline_for(cfg)  # config errors surface before any realization runs
     jobs = [(cfg, k) for k in range(cfg.realizations)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

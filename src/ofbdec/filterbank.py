@@ -87,6 +87,8 @@ class Polyphase:
         self.N = E.shape[2]
         self._pinv0 = None
         self._e0_full_rank = None
+        self._frame_sigma = {}  # n_blocks -> smallest frame singular value
+        self._interior_rows = {}  # window -> central rows of the window pinv
 
     def left_inverse(self):
         """Cached pseudo-inverse of E_0.  A left inverse proper (W E_0 = I)
@@ -121,7 +123,28 @@ class Polyphase:
         return A
 
     def min_frame_singular_value(self, n_blocks=None):
-        return float(np.linalg.svd(self.frame_matrix(n_blocks), compute_uv=False)[-1])
+        """Smallest singular value of frame_matrix(n_blocks), cached."""
+        W = 4 * (self.L + 1) if n_blocks is None else int(n_blocks)
+        if W not in self._frame_sigma:
+            self._frame_sigma[W] = float(
+                np.linalg.svd(self.frame_matrix(W), compute_uv=False)[-1]
+            )
+        return self._frame_sigma[W]
+
+    def interior_synthesis_rows(self, window):
+        """Cached (N, window*M) rows of the pseudo-inverse of the interior
+        window system (equations 0 .. window-1 over unknown blocks -L ..
+        window-1) that give the central block, (window-1)//2."""
+        if window not in self._interior_rows:
+            L, N = self.L, self.N
+            A = _window_system(self, 0, window - 1, -L, window - 1)
+            pinv = np.linalg.pinv(A, rcond=1e-10)
+            null_proj = np.eye(A.shape[1]) - pinv @ A
+            ctr = (L + (window - 1) // 2) * N
+            if np.max(np.abs(null_proj[ctr:ctr + N])) > 1e-8:
+                raise ValueError("central block is not determined by the window system")
+            self._interior_rows[window] = pinv[ctr:ctr + N]
+        return self._interior_rows[window]
 
 
 class ParityCheck:
@@ -279,13 +302,7 @@ def synthesize_ls(poly, y, window=8):
     # pseudo-inverse; only the central block's rows are kept.
     mid = [i for i in range(T) if i - wb >= 0 and i + wf <= T - 1]
     if mid:
-        A = _window_system(poly, 0, window - 1, -L, window - 1)
-        pinv = np.linalg.pinv(A, rcond=1e-10)
-        null_proj = np.eye(A.shape[1]) - pinv @ A
-        ctr = (L + wb) * N
-        if np.max(np.abs(null_proj[ctr:ctr + N])) > 1e-8:
-            raise ValueError("central block is not determined by the window system")
-        ctr_rows = pinv[ctr:ctr + N]
+        ctr_rows = poly.interior_synthesis_rows(window)
         first = mid[0]
         offsets = np.arange(len(mid))[:, None] * M + np.arange(window * M)[None, :]
         windows = y_flat[(first - wb) * M + offsets]

@@ -267,7 +267,7 @@ def _gap_eps(scale):
     return _GAP_RTOL * (1.0 + scale)
 
 
-def _contract_affine_batch(A, lo, hi, c_lo, c_hi, tol, max_sweeps):
+def _contract_affine_batch(A, lo, hi, c_lo, c_hi, tol, max_sweeps, group=None):
     """Forward-backward contraction of K boxes against A x in [c].
 
     Parameters
@@ -277,6 +277,10 @@ def _contract_affine_batch(A, lo, hi, c_lo, c_hi, tol, max_sweeps):
     c_lo, c_hi : (K, m) arrays of constraint intervals
     tol : relative stall threshold on per-sweep width contraction
     max_sweeps : hard sweep cap
+    group : rows per group (default K, one group).  Rows g*group to
+        (g+1)*group - 1 form group g, which stops sweeping at its own
+        stall test, so its boxes are those it would get if contracted
+        alone.
 
     Returns the boolean (K,) array marking boxes proven EMPTY.  The
     emptiness tests carry a small scale-relative margin so that rounding
@@ -285,66 +289,98 @@ def _contract_affine_batch(A, lo, hi, c_lo, c_hi, tol, max_sweeps):
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
-    K = lo.shape[0]
-    empty = np.zeros(K, dtype=bool)
-    pos = A >= 0.0
+    group = lo.shape[0] if group is None else int(group)
+    # Rows of box.reshape(2n, K) (lower ends, then upper ends) that the
+    # terms a_k [x_k] of row j take their ends from: pick[j, 0] for the
+    # lower ends (lo_k where a_k >= 0, else hi_k), pick[j, 1] for the
+    # upper ends; flip does the same with a_k > 0 for the backward step.
+    comp = np.arange(n)
+    pick = np.stack([np.where(A >= 0.0, comp, n + comp), np.where(A >= 0.0, n + comp, comp)], 1)
+    flip = np.stack([np.where(A > 0.0, comp, n + comp), np.where(A > 0.0, n + comp, comp)], 1)
+    nz = A != 0.0
+    a_safe = np.where(nz, A, 1.0)[:, :, None]
+    coef = A[:, :, None]
+    lo_out, hi_out = lo, hi
+    empty_out = np.zeros(lo.shape[0], dtype=bool)
+    # Working copies of the rows of groups still sweeping, with the row
+    # index on the last (contiguous) axis: box[0] holds the (n, K) lower
+    # ends and box[1] the upper ends, so one numpy call serves both.
+    rows = np.arange(lo.shape[0])
+    group_of = rows // group
+    box = np.stack([lo.T, hi.T])
+    c = np.stack([c_lo.T, c_hi.T])
+    c_abs = np.abs(c)
+    empty = empty_out.copy()
 
     for _ in range(max_sweeps):
-        w_before = hi - lo
+        K = rows.size
+        if K == 0:
+            break
+        w_before = box[1] - box[0]
+        # prefix and suffix sums of the terms, with a zero row at the
+        # open end: pre[:, k] sums terms 0..k-1, suf[:, k] terms k..n-1,
+        # accumulated in the order of a running sum
+        pre = np.zeros((2, n + 1, K))
+        suf = np.zeros((2, n + 1, K))
         for j in range(m):
-            a = A[j]
-            t_lo = np.where(pos[j], a * lo, a * hi)
-            t_hi = np.where(pos[j], a * hi, a * lo)
-            pre_lo = np.concatenate([np.zeros((K, 1)), np.cumsum(t_lo, axis=1)], axis=1)
-            pre_hi = np.concatenate([np.zeros((K, 1)), np.cumsum(t_hi, axis=1)], axis=1)
-            suf_lo = np.concatenate([np.cumsum(t_lo[:, ::-1], axis=1)[:, ::-1], np.zeros((K, 1))], axis=1)
-            suf_hi = np.concatenate([np.cumsum(t_hi[:, ::-1], axis=1)[:, ::-1], np.zeros((K, 1))], axis=1)
-            s_lo = pre_lo[:, -1]
-            s_hi = pre_hi[:, -1]
+            # term intervals a_k [x_k]: t[0] their lower ends, t[1] upper
+            t = coef[j] * np.take(box.reshape(2 * n, K), pick[j], axis=0)
+            pre[:, 1] = t[:, 0]
+            for k in range(1, n):
+                np.add(pre[:, k], t[:, k], out=pre[:, k + 1])
+            suf[:, n - 1] = t[:, n - 1]
+            for k in range(n - 2, -1, -1):
+                np.add(suf[:, k + 1], t[:, k], out=suf[:, k])
+            s = pre[:, n]
+            s_abs = np.abs(s)
 
-            scale = np.abs(s_lo) + np.abs(s_hi) + np.abs(c_lo[:, j]) + np.abs(c_hi[:, j])
+            scale = s_abs[0] + s_abs[1] + c_abs[0, j] + c_abs[1, j]
             eps = _gap_eps(scale)
-            f_lo = np.maximum(s_lo, c_lo[:, j])
-            f_hi = np.minimum(s_hi, c_hi[:, j])
-            gap = f_lo - f_hi
+            f = np.empty((2, K))
+            np.maximum(s[0], c[0, j], out=f[0])
+            np.minimum(s[1], c[1, j], out=f[1])
+            gap = f[0] - f[1]
             empty |= gap > eps
             # near-touching forward ranges collapse to a point
-            mid = np.where(gap > 0.0, 0.5 * (f_lo + f_hi), 0.0)
             touch = (gap > 0.0) & ~empty
-            f_lo = np.where(touch, mid, f_lo)
-            f_hi = np.where(touch, mid, f_hi)
+            f = np.where(touch, 0.5 * (f[0] + f[1]), f)
 
             # backward: [x_k] <- [x_k] /\ (f - sum_{k' != k} t_k') / a_k
-            ex_lo = pre_lo[:, :-1] + suf_lo[:, 1:]
-            ex_hi = pre_hi[:, :-1] + suf_hi[:, 1:]
-            num_lo = f_lo[:, None] - ex_hi
-            num_hi = f_hi[:, None] - ex_lo
-            nz = a != 0.0
-            a_safe = np.where(nz, a, 1.0)
-            cand_lo = np.where(a > 0.0, num_lo, num_hi) / a_safe
-            cand_hi = np.where(a > 0.0, num_hi, num_lo) / a_safe
-            new_lo = np.where(nz, np.maximum(lo, cand_lo), lo)
-            new_hi = np.where(nz, np.minimum(hi, cand_hi), hi)
+            ex = pre[:, :-1] + suf[:, 1:]
+            num = f[:, None, :] - ex[::-1]
+            cand = np.take(num.reshape(2 * n, K), flip[j], axis=0) / a_safe[j]
+            new = np.empty_like(box)
+            np.maximum(box[0], cand[0], out=new[0])
+            np.minimum(box[1], cand[1], out=new[1])
+            if not nz[j].all():
+                new = np.where(nz[j][:, None], new, box)
 
-            cgap = new_lo - new_hi
-            ceps = _gap_eps(np.abs(new_lo) + np.abs(new_hi))
-            empty |= np.any(cgap > ceps, axis=1)
-            cmid = 0.5 * (new_lo + new_hi)
+            cgap = new[0] - new[1]
+            new_abs = np.abs(new)
+            ceps = _gap_eps(new_abs[0] + new_abs[1])
+            empty |= np.any(cgap > ceps, axis=0)
             ctouch = cgap > 0.0
-            new_lo = np.where(ctouch, cmid, new_lo)
-            new_hi = np.where(ctouch, cmid, new_hi)
-            keep = ~empty
-            lo[keep] = new_lo[keep]
-            hi[keep] = new_hi[keep]
+            new = np.where(ctouch, 0.5 * (new[0] + new[1]), new)
+            box = np.where(empty, box, new)
 
-        if np.all(empty):
-            break
-        contraction = np.max(w_before - (hi - lo), axis=1)
-        reference = np.maximum(np.max(w_before, axis=1), 1e-300)
-        if np.all(empty | (contraction < tol * reference)):
-            break
+        contraction = np.max(w_before - (box[1] - box[0]), axis=0)
+        reference = np.maximum(np.max(w_before, axis=0), 1e-300)
+        stalled = empty | (contraction < tol * reference)
+        # a group stops once all its rows stall; EMPTY rows are frozen
+        # and count as stalled, so they leave the working set at once
+        busy = np.zeros(group_of[-1] + 1, dtype=bool)
+        busy[group_of[~stalled]] = True
+        finished = empty | ~busy[group_of]
+        if np.any(finished):
+            done = rows[finished]
+            lo_out[done], hi_out[done] = box[0][:, finished].T, box[1][:, finished].T
+            empty_out[done] = empty[finished]
+            going = ~finished
+            rows, group_of, empty = rows[going], group_of[going], empty[going]
+            box, c, c_abs = box[:, :, going], c[:, :, going], c_abs[:, :, going]
 
-    return empty
+    lo_out[rows], hi_out[rows], empty_out[rows] = box[0].T, box[1].T, empty
+    return empty_out
 
 
 def contract_affine(A, x0, c, tol=1e-6, max_sweeps=50):

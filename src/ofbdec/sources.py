@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = ["gen_ar1", "load_pgm_lines"]
 
@@ -22,8 +21,13 @@ def gen_ar1(n, rho, clip, rng):
     w = rng.normal(size=int(n))
     drive = math.sqrt(1.0 - rho * rho) * w
     drive[0] = w[0]
-    x = lfilter([1.0], [1.0, -rho], drive)
-    return np.clip(x, -clip, clip)
+    x = []
+    acc = 0.0
+    rho = float(rho)
+    for d in drive.tolist():
+        acc = d + rho * acc
+        x.append(acc)
+    return np.clip(np.array(x), -clip, clip)
 
 
 def _pgm_token(buf, pos, path):

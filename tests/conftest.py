@@ -98,3 +98,32 @@ def sample_feasible_indexes(state, pipe, rng, n_samples=100_000):
         z += h @ poly.E[l].T
     idx = q.quantize_block(z)
     return {tuple(row) for row in idx}
+
+
+def listed_one_instant(r, q, sig2, n_max):
+    """Per-instant breadth-first listing as the decoder first did it:
+    one lexsort over whole partial index vectors per subband stage.
+    The reference for the batched listing; returns ((K, M) index
+    vectors, (K,) scores)."""
+    part_u = np.zeros((1, 0), dtype=np.int64)
+    part_scores = np.zeros(1)
+    for m in range(q.M):
+        codes = q.index_codes(m)
+        symbols = 1.0 - 2.0 * codes.astype(float)
+        rm = r[q.bit_slices[m]]
+        scores = -np.sum((rm[None, :] - symbols) ** 2, axis=1) / (2.0 * sig2)
+        u_vals = np.arange(codes.shape[0], dtype=np.int64) - q.offsets[m]
+        order = np.lexsort((u_vals, -scores))[:n_max]
+        stage_u = u_vals[order]
+        stage_scores = scores[order]
+        P, S = part_scores.size, stage_u.size
+        new_scores = (part_scores[:, None] + stage_scores[None, :]).ravel()
+        new_u = np.concatenate(
+            [np.repeat(part_u, S, axis=0), np.tile(stage_u, P)[:, None]], axis=1
+        )
+        keys = [new_u[:, k] for k in range(new_u.shape[1] - 1, -1, -1)]
+        keys.append(-new_scores)
+        order = np.lexsort(keys)[:n_max]
+        part_u = new_u[order]
+        part_scores = new_scores[order]
+    return part_u, part_scores

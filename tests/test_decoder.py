@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import exhaustive_candidates, sample_feasible_indexes
+from conftest import exhaustive_candidates, listed_one_instant, sample_feasible_indexes
 
 from ofbdec import (
     Box,
@@ -17,6 +17,7 @@ from ofbdec import (
     consistency_box,
     decode_classical,
     decode_sequence,
+    decode_streams,
     gen_ar1,
     parity_test,
     polyphase_from_filters,
@@ -24,6 +25,7 @@ from ofbdec import (
     synthesize_ls,
     top_candidates,
 )
+from ofbdec.decoder import _candidate_lists
 
 
 def two_bit_setup():
@@ -410,3 +412,129 @@ class TestConfig:
     def test_contractor_validated(self):
         with pytest.raises(ValueError, match="contractor"):
             DecoderConfig(contractor="newton")
+
+
+def noisy_streams(pipe, n, snrs, seed):
+    """Soft bits of one source realization through channels at several
+    SNRs: (channels, received streams)."""
+    rng = np.random.default_rng(seed)
+    N, L = pipe.poly.N, pipe.poly.L
+    lo, hi = pipe.x_range.lo, pipe.x_range.hi
+    x = np.concatenate([np.zeros(N * L), np.clip(rng.normal(0.0, 0.6 * hi, size=n), lo, hi)])
+    _, _, bits = pipe.encode(x)
+    channels = [ChannelModel(snr, seed=seed) for snr in snrs]
+    rs = [ch.transmit(bits, ch.stream(j)) for j, ch in enumerate(channels)]
+    return channels, rs
+
+
+class TestCandidateLists:
+    """The batched listing of whole streams against the per-instant
+    reference, bit for bit."""
+
+    @pytest.mark.parametrize("n_max", [20, 64])
+    @pytest.mark.parametrize("bank", ["tiny_pipe", "default_pipe"])
+    def test_matches_per_instant_listing(self, bank, n_max, request):
+        p = request.getfixturevalue(bank)
+        q = p.q
+        ch = ChannelModel(5.0, seed=4)
+        rng = ch.stream(0)
+        bits = rng.integers(0, 2, size=(150, q.total_bits))
+        r = ch.transmit(bits, ch.stream(1))
+        r[::7] = 0.0  # all-zero soft bits: every index vector ties
+        r[3::11] = np.round(r[3::11])  # partial ties
+        sig2 = ch.effective_sigma2()
+        u, scores = _candidate_lists(r, q, sig2, n_max)
+        for i in range(r.shape[0]):
+            want_u, want_s = listed_one_instant(r[i], q, sig2, n_max)
+            assert np.array_equal(u[i], want_u)
+            assert scores[i].tobytes() == want_s.tobytes()
+
+    def test_list_shorter_than_n_max(self, tiny_pipe):
+        q = tiny_pipe.q
+        ch = ChannelModel(3.0, seed=1)
+        r = ch.transmit(np.zeros((5, q.total_bits), dtype=np.uint8), ch.stream(0))
+        r[0] = 0.0
+        u, scores = _candidate_lists(r, q, ch.effective_sigma2(), 100)
+        assert u.shape == (5, 64, 3)  # every index vector of the bank
+        for i in range(5):
+            want_u, want_s = listed_one_instant(r[i], q, ch.effective_sigma2(), 100)
+            assert np.array_equal(u[i], want_u)
+            assert np.array_equal(scores[i], want_s)
+            assert len({tuple(v) for v in u[i]}) == 64
+
+    def test_top_candidates_is_one_instant(self, default_pipe):
+        q = default_pipe.q
+        ch = ChannelModel(6.0, seed=2)
+        r = ch.transmit(np.ones((4, q.total_bits), dtype=np.uint8), ch.stream(0))
+        u, scores = _candidate_lists(r, q, ch.effective_sigma2(), 20)
+        for i in range(4):
+            cands = top_candidates(r[i], q, ch, 20)
+            assert np.array_equal(np.stack([c.u for c in cands]), u[i])
+            assert [c.loglik for c in cands] == scores[i].tolist()
+
+
+class TestSoftBitValidation:
+    def test_wrong_width_rejected(self, default_pipe):
+        p = default_pipe
+        ch = ChannelModel(7.0)
+        r = np.ones((10, p.q.total_bits + 3))
+        with pytest.raises(ValueError, match=f"expected {p.q.total_bits} bits per instant"):
+            decode_sequence(r, p.poly, p.parity, p.q, ch, DecoderConfig(), p.x_range)
+        with pytest.raises(ValueError, match=f"expected {p.q.total_bits} bits per instant"):
+            decode_classical(r, p.poly, p.q)
+
+    def test_non_finite_rejected(self, default_pipe):
+        p = default_pipe
+        ch = ChannelModel(7.0)
+        r = np.full((10, p.q.total_bits), np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            decode_sequence(r, p.poly, p.parity, p.q, ch, DecoderConfig(), p.x_range)
+        r = np.ones((10, p.q.total_bits))
+        r[4, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            decode_sequence(r, p.poly, p.parity, p.q, ch, DecoderConfig(), p.x_range)
+
+
+class TestLockstep:
+    """decode_streams runs every stream exactly as decode_sequence runs
+    it alone, whatever runs beside it."""
+
+    FIELDS = ("u_hat", "flags", "ranks", "n_consistent", "x_lo", "x_hi")
+
+    def _check(self, pipe, n, snrs, cfgs, seed):
+        channels, rs = noisy_streams(pipe, n, snrs, seed)
+        together = decode_streams(rs, pipe.poly, pipe.parity, pipe.q, channels, cfgs, pipe.x_range)
+        flags = []
+        for s, (r, ch) in enumerate(zip(rs, channels)):
+            for v, cfg in enumerate(cfgs):
+                x_hat, diag = decode_sequence(
+                    r, pipe.poly, pipe.parity, pipe.q, ch, cfg, pipe.x_range
+                )
+                got_x, got = together[s][v]
+                assert got_x.tobytes() == x_hat.tobytes()
+                for name in self.FIELDS:
+                    a, b = getattr(got, name), getattr(diag, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                flags.append(diag.flags)
+        return np.concatenate(flags)
+
+    @pytest.mark.parametrize("bank", ["tiny_pipe", "default_pipe"])
+    def test_matches_streams_alone(self, bank, request):
+        p = request.getfixturevalue(bank)
+        cfgs = [DecoderConfig(n_max=4, use_pct=False), DecoderConfig(n_max=4, use_pct=True),
+                DecoderConfig(n_max=4, use_pct=True, window=6)]
+        flags = self._check(p, 240, (-2.0, 3.0, 8.0), cfgs, seed=8)
+        # the short list at low SNR exercises the fallback and the parity flag
+        assert set(flags.tolist()) == {FLAG_CLEAN, FLAG_NO_CONSISTENT, FLAG_PARITY_EXHAUSTED}
+
+    def test_matches_streams_alone_lp(self, tiny_pipe):
+        cfgs = [DecoderConfig(n_max=4, use_pct=True, contractor="lp"),
+                DecoderConfig(n_max=4, use_pct=False, contractor="lp")]
+        self._check(tiny_pipe, 24, (2.0, 9.0), cfgs, seed=3)
+
+    def test_configs_must_share_list_and_contractor(self, tiny_pipe):
+        p = tiny_pipe
+        channels, rs = noisy_streams(p, 20, (5.0,), seed=1)
+        with pytest.raises(ValueError, match="n_max"):
+            decode_streams(rs, p.poly, p.parity, p.q, channels,
+                           [DecoderConfig(n_max=4), DecoderConfig(n_max=5)], p.x_range)

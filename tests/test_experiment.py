@@ -1,5 +1,7 @@
 """Experiment harness: SNR metric, config parsing, sweeps, CSV output."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ofbdec import (
     simulate_point,
     write_csv,
 )
+from ofbdec import experiment
 from ofbdec.experiment import RECEIVERS
 
 SMALL = dict(n=160, realizations=2, snr_db=(7.0,), seed=5)
@@ -111,6 +114,21 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="positive"):
             parse_config("workers = 0\n")
 
+    @pytest.mark.parametrize("key, value, floor", [("n_max", 0, 1), ("window", 1, 2)])
+    def test_floors_name_line(self, key, value, floor):
+        with pytest.raises(ValueError, match=rf"run\.cfg:2: {key} must be at least {floor}"):
+            parse_config(f"n = 64\n{key} = {value}\n", origin="run.cfg")
+
+    def test_window_below_bank_floor_fails_before_decoding(self, monkeypatch):
+        cfg = parse_config("window = 3\nn = 64\nrealizations = 1\n")
+
+        def no_realization(args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(experiment, "_run_realization", no_realization)
+        with pytest.raises(ValueError, match="window = 3 is below this bank's floor of 4"):
+            run_sweep(cfg)
+
     def test_load_config_names_path(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("n = 64\nseed = 3\n")
@@ -159,6 +177,13 @@ class TestRunSweep:
         errs = {p.receiver: p.error_rate for p in points}
         assert errs["classical"] == 0.0  # BER on a clean channel
         assert errs["proposed"] == 0.0 and errs["proposed_pct"] == 0.0
+
+
+def test_golden_sweep_csv():
+    """The acceptance-6 base sweep, byte for byte as first recorded."""
+    cfg = ExperimentConfig(n=320, realizations=3, snr_db=(7.0, 9.0), seed=11, workers=1)
+    golden = (Path(__file__).parent / "data" / "golden_sweep.csv").read_text()
+    assert write_csv(run_sweep(cfg), cfg, "-") == golden
 
 
 class TestSimulatePoint:

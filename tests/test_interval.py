@@ -7,6 +7,7 @@ from ofbdec.interval import (
     EMPTY,
     Box,
     Interval,
+    _contract_affine_batch,
     box_hull_lp,
     contract_affine,
     matvec_box,
@@ -192,6 +193,34 @@ class TestContractAffine:
             tol = 1e-6 * np.maximum(1.0, once.width)
             assert np.all(once.lo - tol <= twice.lo)
             assert np.all(twice.hi <= once.hi + tol)
+
+    def test_groups_stop_at_their_own_stall(self):
+        # groups contracted together give, bit for bit, the boxes and
+        # EMPTY flags each group gets alone, though they stall after
+        # different numbers of sweeps
+        rng = np.random.default_rng(6)
+        m, n, G, K = 6, 4, 5, 7
+        A = rng.normal(size=(m, n))
+        lo = rng.uniform(-2, 0, (G * K, n))
+        hi = rng.uniform(0, 2, (G * K, n))
+        # constraint widths scaled per group, so groups stall at different sweeps
+        c_lo = rng.uniform(-1.5, 0, (G * K, m)) * np.repeat(rng.uniform(0.1, 1.0, G), K)[:, None]
+        c_hi = rng.uniform(0, 1.5, (G * K, m))
+        alone = []
+        for g in range(G):
+            rows = slice(g * K, (g + 1) * K)
+            a_lo, a_hi = lo[rows].copy(), hi[rows].copy()
+            empty = _contract_affine_batch(A, a_lo, a_hi, c_lo[rows], c_hi[rows], 1e-6, 50)
+            alone.append((a_lo, a_hi, empty))
+        t_lo, t_hi = lo.copy(), hi.copy()
+        empty = _contract_affine_batch(A, t_lo, t_hi, c_lo, c_hi, 1e-6, 50, group=K)
+        assert empty.tobytes() == np.concatenate([e for _, _, e in alone]).tobytes()
+        assert t_lo.tobytes() == np.concatenate([a for a, _, _ in alone]).tobytes()
+        assert t_hi.tobytes() == np.concatenate([b for _, b, _ in alone]).tobytes()
+        # one group for all rows sweeps on while any row still contracts
+        o_lo, o_hi = lo.copy(), hi.copy()
+        _contract_affine_batch(A, o_lo, o_hi, c_lo, c_hi, 1e-6, 50)
+        assert not np.array_equal(o_lo, t_lo) or not np.array_equal(o_hi, t_hi)
 
     def test_empty_prior_propagates(self):
         got = contract_affine(

@@ -6,7 +6,22 @@ import pytest
 from ofbdec import gen_ar1, load_pgm_lines
 
 
+# gen_ar1(8, 0.9, clip, np.random.default_rng(2024)) as first produced by
+# scipy.signal.lfilter([1], [1, -0.9], drive); the recurrence must match
+# it bit for bit
+AR1_PIN = [
+    1.0288568739519013, 1.6416675396226847, 1.97734424027003, 1.3554107000552764,
+    0.612762143183701, 0.5807761409782499, 0.8981526875032562, 1.0302867987082631,
+]
+
+
 class TestAr1:
+    def test_pinned_sequence(self):
+        x = gen_ar1(8, 0.9, 4.0, np.random.default_rng(2024))
+        assert x.tolist() == AR1_PIN
+        clipped = gen_ar1(8, 0.9, 1.5, np.random.default_rng(2024))
+        assert clipped.tolist() == [min(v, 1.5) for v in AR1_PIN]
+
     def test_unit_marginal_variance_white(self):
         x = gen_ar1(100_000, 0.0, 10.0, np.random.default_rng(0))
         assert abs(x.var() - 1.0) < 0.02
