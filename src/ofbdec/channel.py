@@ -51,19 +51,6 @@ class ChannelModel:
     def effective_sigma2(self):
         return max(self.sigma2, _SIGMA2_FLOOR)
 
-    def bit_loglik(self, r, b):
-        """Log-density (up to the shared Gaussian constant) of receiving
-        r when bit b was sent: -(r - (1 - 2b))^2 / (2 sigma2)."""
-        r = np.asarray(r, dtype=float)
-        s = 1.0 - 2.0 * np.asarray(b, dtype=float)
-        return -((r - s) ** 2) / (2.0 * self.effective_sigma2())
-
-    def index_loglik(self, r, u, m, q):
-        """Joint log-likelihood of one subband's received soft bits r
-        under the hypothesis that index u was sent."""
-        bits = q.binarize(u, m)
-        return float(np.sum(self.bit_loglik(r, bits)))
-
     @staticmethod
     def hard_decision(r):
         """Per-bit ML decisions: 0 iff r >= 0."""

@@ -67,6 +67,9 @@ FLAG_NO_CONSISTENT = 1
 FLAG_PARITY_EXHAUSTED = 2
 
 _PARITY_RTOL = 1e-12
+# stall threshold and sweep cap of the forward-backward contractor
+_SWEEP_TOL = 1e-6
+_MAX_SWEEPS = 50
 # elements of the largest array one chunk of candidate listing builds:
 # chunk * n_max^2 merged partial vectors, or chunk * 2^R * R soft-bit
 # distances of an R-bit subband
@@ -78,8 +81,6 @@ class DecoderConfig:
     n_max: int = 20
     use_pct: bool = True
     contractor: str = "sweep"  # "sweep" (forward-backward) or "lp" (exact hull)
-    contractor_tol: float = 1e-6
-    contractor_sweeps: int = 50
     window: int = 8  # synthesis window for the final point estimate
 
     def __post_init__(self):
@@ -121,57 +122,24 @@ class DecodeDiagnostics:
         return float(np.mean(self.flags != FLAG_CLEAN))
 
 
-def _stack_boxes(boxes, dim):
-    """Endpoints of a list of boxes as two (1, len, dim) arrays."""
-    if not boxes:
-        return np.zeros((1, 0, dim)), np.zeros((1, 0, dim))
-    return (np.stack([b.lo for b in boxes])[None], np.stack([b.hi for b in boxes])[None])
-
-
 class DecoderState:
     """Sliding decoding history of B streams decoded in lockstep: the
     shared input box and, per stream, the last L signal boxes and the
     last L' subband boxes, most recent first, as endpoint arrays
     x_lo, x_hi of shape (B, L, N) and y_lo, y_hi of shape (B, L', M).
-
-    The constructor takes one stream's history as lists of Box, and
-    x_hist and y_hist give a one-stream history back in that form.
     """
 
-    def __init__(self, input_box, x_hist, y_hist):
+    def __init__(self, input_box, x_lo, x_hi, y_lo, y_hi):
         self.input_box = input_box
-        self.x_lo, self.x_hi = _stack_boxes(list(x_hist), input_box.dim)
-        y_hist = list(y_hist)
-        self.y_lo, self.y_hi = _stack_boxes(y_hist, y_hist[0].dim if y_hist else 0)
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
 
     @classmethod
     def initial(cls, input_box, poly, parity, streams=1):
         """Histories start as the degenerate all-zero boxes, which is
         exact for streams whose pre-start blocks are zero."""
-        state = cls(input_box, [], [])
-        state.x_lo = np.zeros((streams, poly.L, poly.N))
-        state.x_hi = np.zeros((streams, poly.L, poly.N))
-        state.y_lo = np.zeros((streams, parity.order, poly.M))
-        state.y_hi = np.zeros((streams, parity.order, poly.M))
-        return state
-
-    @staticmethod
-    def _boxes(lo, hi):
-        if lo.shape[0] != 1:
-            raise ValueError("box lists describe a single-stream history")
-        return [Box(l, h) for l, h in zip(lo[0], hi[0])]
-
-    @property
-    def x_hist(self):
-        return self._boxes(self.x_lo, self.x_hi)
-
-    @property
-    def y_hist(self):
-        return self._boxes(self.y_lo, self.y_hi)
-
-    def push(self, x_box, y_box):
-        """Push one stream's boxes onto its history."""
-        self._push(x_box.lo[None], x_box.hi[None], y_box.lo[None], y_box.hi[None])
+        x = (streams, poly.L, poly.N)
+        y = (streams, parity.order, poly.M)
+        return cls(input_box, np.zeros(x), np.zeros(x), np.zeros(y), np.zeros(y))
 
     def _push(self, x_lo, x_hi, y_lo, y_hi):
         """Push (B, N) signal and (B, M) subband box endpoints."""
@@ -361,7 +329,7 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
     empty |= _contract_affine_batch(
         poly.E[0], lo.reshape(B * K, N), hi.reshape(B * K, N),
         c_lo.reshape(B * K, M), c_hi.reshape(B * K, M),
-        cfg.contractor_tol, cfg.contractor_sweeps, K,
+        _SWEEP_TOL, _MAX_SWEEPS, K,
     ).reshape(B, K)
     return lo, hi, empty
 

@@ -10,10 +10,11 @@ reduces realizations in index order, so results are reproducible
 byte-for-byte regardless of how many worker processes run.
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,6 +99,12 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1
     out: str = ""
+
+    def __post_init__(self):
+        # sequences become tuples so that the config stays hashable: it
+        # keys the pipeline cache
+        for name in ("pgm_rows", "pgm_range", "snr_db"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 _CONFIG_PARSERS = {
@@ -209,7 +216,9 @@ class Pipeline:
 
     def source_signal(self, realization):
         """The realization's input signal, prepended with L zero blocks
-        so the decoder's all-zero initial history is exact."""
+        so the decoder's all-zero initial history is exact.  Samples
+        outside x_range are rejected: the quantizer rates and the
+        decoder's input box both rest on it."""
         cfg = self.cfg
         if cfg.source == "ar1":
             rng = np.random.default_rng(
@@ -218,23 +227,38 @@ class Pipeline:
             x = gen_ar1(cfg.n, cfg.rho, cfg.clip, rng)
         else:
             x = load_pgm_lines(cfg.pgm_path, cfg.pgm_rows, cfg.n)
+        lo, hi = self.x_range.lo, self.x_range.hi
+        outside = ~((x >= lo) & (x <= hi))
+        if np.any(outside):
+            raise ValueError(
+                f"source sample {x[outside][0]:g} lies outside the input range [{lo:g}, {hi:g}]"
+            )
         return np.concatenate([np.zeros(self.poly.L * self.poly.N), x])
 
 
-_PIPELINE_CACHE = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _pipeline_for(cfg):
-    key = (
-        cfg.source, cfg.n, cfg.rho, cfg.clip, cfg.pgm_path, cfg.pgm_rows,
-        cfg.pgm_range, cfg.bank, cfg.delta, cfg.gray, cfg.window, cfg.seed,
+    """The Pipeline of cfg; the last one built is kept, so a sweep's
+    realizations and its CSV header share one."""
+    return Pipeline(cfg)
+
+
+def _encode(pipe, realization):
+    """The transmit chain of one realization: source, analysis bank,
+    quantizers and index codes.  Returns (x, bits, reference SNR), the
+    reference being the noiseless reconstruction from the sent indexes."""
+    poly, q = pipe.poly, pipe.q
+    x = pipe.source_signal(realization)
+    u = q.quantize_block(analyze(x, poly))
+    bits = q.encode_stream(u)
+    x_ref = synthesize_ls(poly, q.dequantize_block(u), window=pipe.cfg.window)
+    return x, bits, reconstruction_snr(x, x_ref, pipe.skip)
+
+
+def _decoder_config(cfg, use_pct):
+    return DecoderConfig(
+        n_max=cfg.n_max, use_pct=use_pct, contractor=cfg.contractor, window=cfg.window
     )
-    pipe = _PIPELINE_CACHE.get(key)
-    if pipe is None:
-        pipe = Pipeline(cfg)
-        _PIPELINE_CACHE.clear()
-        _PIPELINE_CACHE[key] = pipe
-    return pipe
 
 
 def _run_realization(args):
@@ -246,19 +270,7 @@ def _run_realization(args):
     cfg, realization = args
     pipe = _pipeline_for(cfg)
     poly, parity, q = pipe.poly, pipe.parity, pipe.q
-    x = pipe.source_signal(realization)
-    y = analyze(x, poly)
-    u = q.quantize_block(y)
-    bits = q.encode_stream(u)
-
-    x_ref = synthesize_ls(poly, q.dequantize_block(u), window=cfg.window)
-    ref_snr = reconstruction_snr(x, x_ref, pipe.skip)
-
-    cfg_plain = DecoderConfig(
-        n_max=cfg.n_max, use_pct=False, contractor=cfg.contractor,
-        window=cfg.window,
-    )
-    cfg_pct = replace(cfg_plain, use_pct=True)
+    x, bits, ref_snr = _encode(pipe, realization)
 
     channels = [ChannelModel(snr, seed=cfg.seed, noiseless=cfg.noiseless) for snr in cfg.snr_db]
     rs = [
@@ -266,7 +278,8 @@ def _run_realization(args):
         for j, ch in enumerate(channels)
     ]
     # all 2 * len(snr_db) decoder streams of the realization in lockstep
-    decoded = decode_streams(rs, poly, parity, q, channels, (cfg_plain, cfg_pct), pipe.x_range)
+    cfgs = (_decoder_config(cfg, False), _decoder_config(cfg, True))
+    decoded = decode_streams(rs, poly, parity, q, channels, cfgs, pipe.x_range)
 
     per_snr = []
     for r, ((x_prop, diag_prop), (x_pct, diag_pct)) in zip(rs, decoded):
@@ -340,26 +353,19 @@ def simulate_point(cfg, realization=0):
     per-receiver SNRs and the consistency decoder's diagnostics."""
     pipe = _pipeline_for(cfg)
     poly, parity, q = pipe.poly, pipe.parity, pipe.q
-    x = pipe.source_signal(realization)
-    y = analyze(x, poly)
-    u = q.quantize_block(y)
-    bits = q.encode_stream(u)
+    x, bits, ref_snr = _encode(pipe, realization)
 
     snr = cfg.snr_db[0]
     ch = ChannelModel(snr, seed=cfg.seed, noiseless=cfg.noiseless)
     r = ch.transmit(bits, ch.stream(_CHANNEL_KEY, realization, 0))
 
-    x_ref = synthesize_ls(poly, q.dequantize_block(u), window=cfg.window)
     x_cl = decode_classical(r, poly, q, window=cfg.window)
-    dec_cfg = DecoderConfig(
-        n_max=cfg.n_max, use_pct=cfg.use_pct, contractor=cfg.contractor,
-        window=cfg.window,
-    )
+    dec_cfg = _decoder_config(cfg, cfg.use_pct)
     x_hat, diag = decode_sequence(r, poly, parity, q, ch, dec_cfg, pipe.x_range)
 
     return {
         "snr_db": float(snr),
-        "reference": reconstruction_snr(x, x_ref, pipe.skip),
+        "reference": ref_snr,
         "classical": reconstruction_snr(x, x_cl, pipe.skip),
         "proposed": reconstruction_snr(x, x_hat, pipe.skip),
         "use_pct": cfg.use_pct,

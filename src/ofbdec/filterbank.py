@@ -110,25 +110,14 @@ class Polyphase:
         blocks (x[i-L]; ...; x[i])."""
         return np.hstack([self.E[l] for l in range(self.L, -1, -1)])
 
-    def frame_matrix(self, n_blocks=None):
-        """Stacked analysis matrix mapping n_blocks input blocks (zero
-        initial state) to the same number of output blocks."""
-        W = 4 * (self.L + 1) if n_blocks is None else int(n_blocks)
-        A = np.zeros((W * self.M, W * self.N))
-        for i in range(W):
-            for l in range(self.L + 1):
-                j = i - l
-                if j >= 0:
-                    A[i * self.M:(i + 1) * self.M, j * self.N:(j + 1) * self.N] = self.E[l]
-        return A
-
     def min_frame_singular_value(self, n_blocks=None):
-        """Smallest singular value of frame_matrix(n_blocks), cached."""
+        """Smallest singular value, cached, of the stacked analysis
+        matrix mapping n_blocks input blocks (zero initial state) to the
+        same number of output blocks."""
         W = 4 * (self.L + 1) if n_blocks is None else int(n_blocks)
         if W not in self._frame_sigma:
-            self._frame_sigma[W] = float(
-                np.linalg.svd(self.frame_matrix(W), compute_uv=False)[-1]
-            )
+            A = _window_system(self, 0, W - 1, 0, W - 1)
+            self._frame_sigma[W] = float(np.linalg.svd(A, compute_uv=False)[-1])
         return self._frame_sigma[W]
 
     def interior_synthesis_rows(self, window):

@@ -1,9 +1,10 @@
-"""Closed-interval arithmetic, boxes, and an affine-constraint contractor.
+"""Closed intervals, boxes, and an affine-constraint contractor.
 
 The decoder needs three guarantees from this module: interval evaluation
 of affine maps never under-covers the true range, boxes returned by the
-contractor never exclude a feasible point, and infeasibility (EMPTY) is
-an explicit value rather than an inverted-endpoint convention.
+contractor never exclude a feasible point, and infeasibility (an EMPTY
+result, Box.empty) is an explicit value rather than an inverted-endpoint
+convention.
 
 Endpoints are ordinary floats with round-to-nearest arithmetic.  We do
 not chase directed rounding at the ulp level; emptiness decisions inside
@@ -15,22 +16,21 @@ import numpy as np
 
 __all__ = [
     "Interval",
-    "EMPTY",
     "Box",
     "matvec_box",
     "contract_affine",
     "box_hull_lp",
 ]
 
-# Margin factors for emptiness proofs inside the contractor.  Plain
-# intersect() stays exact; see module docstring.
+# Margin factor for emptiness proofs inside the contractor; see module
+# docstring.
 _GAP_RTOL = 1e-12
 
 
 class Interval:
-    """A closed interval [lo, hi] with lo <= hi, or the EMPTY interval."""
+    """A closed interval [lo, hi] with lo <= hi."""
 
-    __slots__ = ("lo", "hi", "_empty")
+    __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
         lo = float(lo)
@@ -39,95 +39,35 @@ class Interval:
             raise ValueError(f"invalid interval endpoints [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
-        self._empty = False
-
-    @classmethod
-    def _make_empty(cls):
-        it = cls.__new__(cls)
-        it.lo = np.nan
-        it.hi = np.nan
-        it._empty = True
-        return it
-
-    @property
-    def is_empty(self):
-        return self._empty
 
     @property
     def width(self):
-        if self._empty:
-            raise ValueError("width of EMPTY interval is undefined")
         return self.hi - self.lo
 
     @property
     def center(self):
-        if self._empty:
-            raise ValueError("center of EMPTY interval is undefined")
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, x, tol=0.0):
-        if self._empty:
-            return False
         return self.lo - tol <= x <= self.hi + tol
-
-    def __add__(self, other):
-        if self._empty or other._empty:
-            return EMPTY
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other):
-        if self._empty or other._empty:
-            return EMPTY
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def scale(self, a):
-        """Image of the interval under multiplication by the real a."""
-        if self._empty:
-            return EMPTY
-        a = float(a)
-        if a >= 0.0:
-            return Interval(a * self.lo, a * self.hi)
-        return Interval(a * self.hi, a * self.lo)
-
-    def __mul__(self, a):
-        return self.scale(a)
-
-    __rmul__ = __mul__
-
-    def intersect(self, other):
-        if self._empty or other._empty:
-            return EMPTY
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return EMPTY
-        return Interval(lo, hi)
 
     def __eq__(self, other):
         if not isinstance(other, Interval):
             return NotImplemented
-        if self._empty or other._empty:
-            return self._empty and other._empty
         return self.lo == other.lo and self.hi == other.hi
 
     def __hash__(self):
-        return hash((self._empty, self.lo, self.hi))
+        return hash((self.lo, self.hi))
 
     def __repr__(self):
-        if self._empty:
-            return "Interval.EMPTY"
         return f"Interval({self.lo!r}, {self.hi!r})"
 
 
-EMPTY = Interval._make_empty()
-
-
 class Box:
-    """An axis-aligned box: a vector of closed intervals, or EMPTY.
+    """An axis-aligned box: a vector of closed intervals, or the empty
+    box (Box.empty), which is empty as a whole.
 
-    A box is EMPTY as a whole; there is no mixed state where some
-    components are empty and others are not.  Endpoint vectors are numpy
-    arrays of equal length.
+    Endpoint vectors are numpy arrays of equal length.
     """
 
     __slots__ = ("lo", "hi", "dim", "_empty")
@@ -163,13 +103,6 @@ class Box:
         """The cube [lo, hi]^dim."""
         return cls(np.full(dim, float(lo)), np.full(dim, float(hi)))
 
-    @classmethod
-    def from_intervals(cls, intervals):
-        intervals = list(intervals)
-        if any(it.is_empty for it in intervals):
-            return cls.empty(len(intervals))
-        return cls([it.lo for it in intervals], [it.hi for it in intervals])
-
     @property
     def is_empty(self):
         return self._empty
@@ -177,59 +110,26 @@ class Box:
     @property
     def center(self):
         if self._empty:
-            raise ValueError("center of EMPTY box is undefined")
+            raise ValueError("center of the empty box is undefined")
         return 0.5 * (self.lo + self.hi)
 
     @property
     def width(self):
         if self._empty:
-            raise ValueError("width of EMPTY box is undefined")
+            raise ValueError("width of the empty box is undefined")
         return self.hi - self.lo
 
     @property
     def radius(self):
         if self._empty:
-            raise ValueError("radius of EMPTY box is undefined")
+            raise ValueError("radius of the empty box is undefined")
         return 0.5 * (self.hi - self.lo)
-
-    def interval(self, k):
-        if self._empty:
-            return EMPTY
-        return Interval(self.lo[k], self.hi[k])
-
-    def intervals(self):
-        return [self.interval(k) for k in range(self.dim)]
 
     def contains(self, x, tol=0.0):
         if self._empty:
             return False
         x = np.asarray(x, dtype=float)
         return bool(np.all(self.lo - tol <= x) and np.all(x <= self.hi + tol))
-
-    def intersect(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in box intersection")
-        if self._empty or other._empty:
-            return Box.empty(self.dim)
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            return Box.empty(self.dim)
-        return Box(lo, hi)
-
-    def __add__(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in box sum")
-        if self._empty or other._empty:
-            return Box.empty(self.dim)
-        return Box(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in box difference")
-        if self._empty or other._empty:
-            return Box.empty(self.dim)
-        return Box(self.lo - other.hi, self.hi - other.lo)
 
     def __eq__(self, other):
         if not isinstance(other, Box):

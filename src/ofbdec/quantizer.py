@@ -12,7 +12,7 @@ subband range, so the union of cells always covers it.
 
 import numpy as np
 
-from .interval import Box, Interval, matvec_box
+from .interval import Box, matvec_box
 
 __all__ = ["QuantizerBank", "allocate_rates", "subband_ranges"]
 
@@ -94,56 +94,10 @@ class QuantizerBank:
         self.bit_slices = [slice(int(e - r), int(e)) for r, e in zip(rates, ends)]
         self._code_cache = {}
 
-    # -- scalar interface ------------------------------------------------
-
-    def quantize(self, y, m):
-        """Index of the cell containing y: round(y / delta) with ties
-        away from zero, clamped to the representable range."""
-        d = self.deltas[m]
-        u = np.sign(y) * np.floor(abs(y) / d + 0.5)
-        return int(np.clip(u, -self.offsets[m], self.offsets[m] - 1))
-
-    def dequantize(self, u, m):
-        return float(u * self.deltas[m])
-
-    def cell_box(self, u, m):
-        """The set of values mapping to index u, as an Interval."""
-        d = self.deltas[m]
-        lo = u * d - 0.5 * d
-        hi = u * d + 0.5 * d
-        if u == -self.offsets[m]:
-            lo = min(lo, self.ranges.lo[m])
-        if u == self.offsets[m] - 1:
-            hi = max(hi, self.ranges.hi[m])
-        return Interval(lo, hi)
-
-    def binarize(self, u, m):
-        """Codeword of index u as an array of R_m bits, MSB first."""
-        o = int(self.offsets[m])
-        if not -o <= u <= o - 1:
-            raise ValueError(f"index {u} out of range for subband {m}")
-        v = int(u) + o
-        if self.gray:
-            v = int(_gray_encode(np.int64(v)))
-        R = int(self.rates[m])
-        return np.array([(v >> (R - 1 - k)) & 1 for k in range(R)], dtype=np.uint8)
-
-    def debinarize(self, bits, m):
-        bits = np.asarray(bits)
-        R = int(self.rates[m])
-        if bits.shape != (R,):
-            raise ValueError(f"subband {m} expects {R} bits, got shape {bits.shape}")
-        if np.any((bits != 0) & (bits != 1)):
-            raise ValueError("bits must be 0 or 1")
-        v = int(bits @ (1 << np.arange(R - 1, -1, -1, dtype=np.int64)))
-        if self.gray:
-            v = int(_gray_decode(np.int64(v)))
-        return v - int(self.offsets[m])
-
-    # -- block / stream interface -----------------------------------------
-
     def quantize_block(self, y):
-        """Vectorized quantize over the last axis (M subbands)."""
+        """Index of the cell holding each sample, over the last axis (M
+        subbands): round(y / delta) with ties away from zero, clamped to
+        the representable range."""
         y = np.asarray(y, dtype=float)
         u = np.sign(y) * np.floor(np.abs(y) / self.deltas + 0.5)
         return np.clip(u, -self.offsets, self.offsets - 1).astype(np.int64)
@@ -152,7 +106,8 @@ class QuantizerBank:
         return np.asarray(u) * self.deltas
 
     def cell_bounds(self, u):
-        """Vectorized cell endpoints for index arrays of shape (..., M)."""
+        """Endpoints (lo, hi) of the cells of index arrays of shape
+        (..., M), the saturated end cells extended to the range edges."""
         u = np.asarray(u)
         ctr = u * self.deltas
         lo = ctr - 0.5 * self.deltas
@@ -160,10 +115,6 @@ class QuantizerBank:
         lo = np.where(u == -self.offsets, np.minimum(lo, self.ranges.lo), lo)
         hi = np.where(u == self.offsets - 1, np.maximum(hi, self.ranges.hi), hi)
         return lo, hi
-
-    def cell_box_block(self, u):
-        lo, hi = self.cell_bounds(u)
-        return Box(lo, hi)
 
     def index_codes(self, m):
         """All codewords of subband m in index order: a (2^R_m, R_m)
@@ -183,8 +134,10 @@ class QuantizerBank:
         T = u.shape[0]
         bits = np.empty((T, self.total_bits), dtype=np.uint8)
         for m in range(self.M):
-            codes = self.index_codes(m)
-            bits[:, self.bit_slices[m]] = codes[u[:, m] + self.offsets[m]]
+            o = int(self.offsets[m])
+            if np.any((u[:, m] < -o) | (u[:, m] >= o)):
+                raise ValueError(f"index out of range [{-o}, {o - 1}] for subband {m}")
+            bits[:, self.bit_slices[m]] = self.index_codes(m)[u[:, m] + o]
         return bits
 
     def decode_stream(self, bits):
@@ -192,6 +145,8 @@ class QuantizerBank:
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[1] != self.total_bits:
             raise ValueError(f"expected {self.total_bits} bits per instant")
+        if np.any((bits != 0) & (bits != 1)):
+            raise ValueError("bits must be 0 or 1")
         T = bits.shape[0]
         u = np.empty((T, self.M), dtype=np.int64)
         for m in range(self.M):

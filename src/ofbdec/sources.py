@@ -18,6 +18,8 @@ def gen_ar1(n, rho, clip, rng):
         raise ValueError("rho must lie in [0, 1)")
     if clip <= 0.0:
         raise ValueError("clip must be positive")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     w = rng.normal(size=int(n))
     drive = math.sqrt(1.0 - rho * rho) * w
     drive[0] = w[0]

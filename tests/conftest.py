@@ -8,6 +8,7 @@ import pytest
 
 from ofbdec import (
     ChannelModel,
+    DecoderState,
     FilterBank,
     Interval,
     allocate_rates,
@@ -84,6 +85,19 @@ def exhaustive_candidates(r, q, ch):
     return u_all[order], scores[order]
 
 
+def one_stream_state(input_box, x_hist=(), y_hist=()):
+    """A one-stream DecoderState whose history holds the given boxes,
+    most recent first."""
+
+    def ends(boxes, dim):
+        shape = (1, len(boxes), dim)
+        return (np.array([b.lo for b in boxes]).reshape(shape),
+                np.array([b.hi for b in boxes]).reshape(shape))
+
+    y_dim = y_hist[0].dim if y_hist else 0
+    return DecoderState(input_box, *ends(x_hist, input_box.dim), *ends(y_hist, y_dim))
+
+
 def sample_feasible_indexes(state, pipe, rng, n_samples=100_000):
     """Sampling feasibility oracle: index vectors reachable from the
     current history boxes, found by pushing random admissible inputs
@@ -93,8 +107,7 @@ def sample_feasible_indexes(state, pipe, rng, n_samples=100_000):
                     size=(n_samples, poly.N))
     z = x @ poly.E[0].T
     for l in range(1, poly.L + 1):
-        hb = state.x_hist[l - 1]
-        h = rng.uniform(hb.lo, hb.hi, size=(n_samples, poly.N))
+        h = rng.uniform(state.x_lo[0, l - 1], state.x_hi[0, l - 1], size=(n_samples, poly.N))
         z += h @ poly.E[l].T
     idx = q.quantize_block(z)
     return {tuple(row) for row in idx}

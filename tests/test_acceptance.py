@@ -99,20 +99,19 @@ def test_2_small_instance_oracles(tiny_pipe):
 
     excl_violations = 0
     for i in range(T):
-        xh, yh = state.x_hist[0], state.y_hist[0]
-        snap = DecoderState(
-            input_box,
-            [Box(xh.lo.copy(), xh.hi.copy())],
-            [Box(yh.lo.copy(), yh.hi.copy())],
-        )
+        # step rebinds the history arrays rather than writing into them,
+        # so snap keeps the history this instant is decoded against
+        snap = DecoderState(input_box, state.x_lo, state.x_hi, state.y_lo, state.y_hi)
+        xh_lo, xh_hi = state.x_lo[0, 0], state.x_hi[0, 0]
+        yh_lo, yh_hi = state.y_lo[0, 0], state.y_hi[0, 0]
         X0 = orng.uniform(input_box.lo, input_box.hi, size=(n_samp, 2))
-        X1 = orng.uniform(xh.lo, xh.hi, size=(n_samp, 2))
+        X1 = orng.uniform(xh_lo, xh_hi, size=(n_samp, 2))
         X2 = orng.uniform(input_box.lo, input_box.hi, size=(n_samp, 2))
         codes = (q.quantize_block(X0 @ E0.T + X1 @ E1.T) + 2) @ weights
         feas = np.zeros(64, dtype=bool)
         feas[np.unique(codes)] = True
         y_prev = X1 @ E0.T + X2 @ E1.T
-        ok_prev = np.all((y_prev >= yh.lo) & (y_prev <= yh.hi), axis=1)
+        ok_prev = np.all((y_prev >= yh_lo) & (y_prev <= yh_hi), axis=1)
         feas_pct = np.zeros(64, dtype=bool)
         feas_pct[np.unique(codes[ok_prev])] = True
 
@@ -134,12 +133,7 @@ def test_2_small_instance_oracles(tiny_pipe):
     argmax_mismatches = 0
     clean = 0
     for i in range(T):
-        xh, yh = state.x_hist[0], state.y_hist[0]
-        snap = DecoderState(
-            input_box,
-            [Box(xh.lo.copy(), xh.hi.copy())],
-            [Box(yh.lo.copy(), yh.hi.copy())],
-        )
+        snap = DecoderState(input_box, state.x_lo, state.x_hi, state.y_lo, state.y_hi)
         res = step(r[i], state, poly, parity, q, ch, cfg_lp)
         if res.flag != FLAG_CLEAN:
             continue

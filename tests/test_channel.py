@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ofbdec.channel import ChannelModel, bpsk_ber
+from ofbdec.decoder import top_candidates
 from ofbdec.interval import Box
 from ofbdec.quantizer import QuantizerBank
 
@@ -30,43 +31,59 @@ def test_noise_statistics():
     assert abs(r.var() - 0.2) < 0.004
 
 
-def test_bit_loglik_values():
+def one_bit_bank():
+    """One 1-bit subband: index -1 sends bit 0, index 0 sends bit 1."""
+    return QuantizerBank([1.0], [1], Box(np.array([-1.0]), np.array([1.0])))
+
+
+def logliks(r, q, ch, n_max):
+    """{index of the first subband: log-likelihood} of the listed candidates."""
+    return {int(c.u[0]): c.loglik for c in top_candidates(np.asarray(r, dtype=float), q, ch, n_max)}
+
+
+def test_candidate_loglik_values():
+    q = one_bit_bank()
     ch = ChannelModel(10.0 * np.log10(2.0))  # sigma2 = 0.5
-    assert np.isclose(ch.bit_loglik(1.0, 0), 0.0)
-    assert np.isclose(ch.bit_loglik(1.0, 1), -4.0)
+    got = logliks([1.0], q, ch, 2)
+    assert np.isclose(got[-1], 0.0)
+    assert np.isclose(got[0], -4.0)
     # log-likelihood ratio 2r/sigma2 at r = 1
-    llr = ch.bit_loglik(1.0, 0) - ch.bit_loglik(1.0, 1)
-    assert np.isclose(llr, 4.0)
+    assert np.isclose(got[-1] - got[0], 4.0)
     # r = 0 is equidistant from both symbols
-    assert np.isclose(ch.bit_loglik(0.0, 0), ch.bit_loglik(0.0, 1))
+    got = logliks([0.0], q, ch, 2)
+    assert np.isclose(got[-1], got[0])
 
 
-def test_bit_loglik_vectorized():
+def test_candidate_loglik_sums_bit_terms():
+    # a listed candidate's score is the sum over its codeword's bits of
+    # -(r - s)^2 / (2 sigma2), s = 1 - 2b the sent symbol
+    q = QuantizerBank([1.0, 1.0, 1.0], [2, 3, 1], Box(np.full(3, -4.0), np.full(3, 4.0)))
     ch = ChannelModel(7.0, seed=3)
-    r = ch.stream(0).normal(size=50)
-    b = np.arange(50) % 2
-    got = ch.bit_loglik(r, b)
-    for k in range(50):
-        assert np.isclose(got[k], ch.bit_loglik(r[k], b[k]))
+    rng = ch.stream(0)
+    for _ in range(5):
+        r = rng.normal(size=q.total_bits)
+        for c in top_candidates(r, q, ch, 64):
+            s = 1.0 - 2.0 * q.encode_stream(c.u[None])[0]
+            assert np.isclose(c.loglik, -np.sum((r - s) ** 2) / (2.0 * ch.sigma2))
 
 
-def test_index_loglik_orders_hypotheses():
+def test_candidate_loglik_orders_hypotheses():
     q = QuantizerBank([1.0], [2], Box(np.array([-2.0]), np.array([2.0])))
     ch = ChannelModel(10.0 * np.log10(2.0))  # sigma2 = 0.5
     r = np.array([1.0, -1.0])  # soft bits for codeword 01, index -1
-    scores = {u: ch.index_loglik(r, u, 0, q) for u in range(-2, 2)}
+    scores = logliks(r, q, ch, 4)
     assert np.isclose(scores[-1], 0.0)
     assert np.isclose(scores[-2], -4.0)  # codeword 00, one bit off
     assert np.isclose(scores[1], -4.0)  # codeword 11, one bit off
     assert np.isclose(scores[0], -8.0)  # codeword 10, both bits off
-    assert max(scores, key=scores.get) == -1
+    assert top_candidates(r, q, ch, 1)[0].u.tolist() == [-1]
 
 
 def test_noiseless_loglik_finite():
     ch = ChannelModel(7.0, noiseless=True)
-    val = ch.bit_loglik(-1.0, 0)
-    assert np.isfinite(val)
-    assert val < ch.bit_loglik(1.0, 0)
+    got = logliks([-1.0], one_bit_bank(), ch, 2)
+    assert np.all(np.isfinite(list(got.values())))
+    assert got[-1] < got[0]
 
 
 def test_hard_decision():

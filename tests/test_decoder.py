@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import exhaustive_candidates, listed_one_instant, sample_feasible_indexes
+from conftest import (
+    exhaustive_candidates,
+    listed_one_instant,
+    one_stream_state,
+    sample_feasible_indexes,
+)
 
 from ofbdec import (
     Box,
@@ -103,31 +108,31 @@ class TestTopCandidates:
 class TestConsistencyBox:
     def test_identity_observation_intersects_cell(self):
         poly, q = repeated_scalar_setup()
-        state = DecoderState(Box.uniform(0.0, 10.0, 1), [], [])
+        state = one_stream_state(Box.uniform(0.0, 10.0, 1))
         box = consistency_box(np.array([5, 5]), state, poly, q)
         assert np.allclose(box.lo, 4.5) and np.allclose(box.hi, 5.5)
 
     def test_disjoint_cells_proven_empty(self):
         poly, q = repeated_scalar_setup()
-        state = DecoderState(Box.uniform(0.0, 10.0, 1), [], [])
+        state = one_stream_state(Box.uniform(0.0, 10.0, 1))
         assert consistency_box(np.array([5, 7]), state, poly, q).is_empty
 
     def test_touching_cells_collapse_to_point(self):
         poly, q = repeated_scalar_setup()
-        state = DecoderState(Box.uniform(0.0, 10.0, 1), [], [])
+        state = one_stream_state(Box.uniform(0.0, 10.0, 1))
         box = consistency_box(np.array([5, 6]), state, poly, q)
         assert not box.is_empty
         assert np.allclose(box.lo, 5.5) and np.allclose(box.hi, 5.5)
 
     def test_gain_two_row_contracts(self):
         poly, q = repeated_scalar_setup(coeffs=(2.0, 1.0))
-        state = DecoderState(Box.uniform(0.0, 10.0, 1), [], [])
+        state = one_stream_state(Box.uniform(0.0, 10.0, 1))
         box = consistency_box(np.array([10, 5]), state, poly, q)
         assert np.allclose(box.lo, 4.75) and np.allclose(box.hi, 5.25)
 
     def test_input_box_clips(self):
         poly, q = repeated_scalar_setup()
-        state = DecoderState(Box.uniform(0.0, 4.8, 1), [], [])
+        state = one_stream_state(Box.uniform(0.0, 4.8, 1))
         box = consistency_box(np.array([5, 5]), state, poly, q)
         assert np.allclose(box.lo, 4.5) and np.allclose(box.hi, 4.8)
 
@@ -141,9 +146,7 @@ class TestConsistencyBox:
             x_cur = rng.uniform(-1.0, 1.0, 2)
             y = p.poly.E[0] @ x_cur + p.poly.E[1] @ x_prev
             u = p.q.quantize_block(y.reshape(1, -1))[0]
-            state = DecoderState(
-                Box.uniform(-1.0, 1.0, 2), [Box.point(x_prev)], []
-            )
+            state = one_stream_state(Box.uniform(-1.0, 1.0, 2), [Box.point(x_prev)])
             box = consistency_box(u, state, p.poly, p.q, cfg)
             assert not box.is_empty
             assert box.contains(x_cur, tol=1e-9)
@@ -156,9 +159,7 @@ class TestConsistencyBox:
             x_cur = rng.uniform(-1.0, 1.0, 2)
             y = p.poly.E[0] @ x_cur + p.poly.E[1] @ x_prev
             u = p.q.quantize_block(y.reshape(1, -1))[0]
-            state = DecoderState(
-                Box.uniform(-1.0, 1.0, 2), [Box.point(x_prev)], []
-            )
+            state = one_stream_state(Box.uniform(-1.0, 1.0, 2), [Box.point(x_prev)])
             sweep = consistency_box(u, state, p.poly, p.q, DecoderConfig())
             lp = consistency_box(
                 u, state, p.poly, p.q, DecoderConfig(contractor="lp")
@@ -170,7 +171,7 @@ class TestConsistencyBox:
         p = tiny_pipe
         rng = np.random.default_rng(5)
         x_prev = rng.uniform(-1.0, 1.0, 2)
-        state = DecoderState(Box.uniform(-1.0, 1.0, 2), [Box.point(x_prev)], [])
+        state = one_stream_state(Box.uniform(-1.0, 1.0, 2), [Box.point(x_prev)])
         feasible = sample_feasible_indexes(state, p, rng, n_samples=20_000)
         cfg = DecoderConfig()
         assert len(feasible) >= 4
@@ -195,7 +196,7 @@ class TestParity:
         )
         for i in range(u.shape[0]):
             assert parity_test(u[i], state, p.parity, p.q)
-            state.push(Box.point(blocks[i]), p.q.cell_box_block(u[i]))
+            state._push(blocks[i][None], blocks[i][None], *p.q.cell_bounds(u[i][None]))
 
     def test_rejects_cell_shift_in_covered_subband(self, default_pipe):
         # all of the bundled bank's redundancy lives in the subband
@@ -213,7 +214,7 @@ class TestParity:
             Box.uniform(-4.0, 4.0, p.poly.N), p.poly, p.parity
         )
         for i in range(u.shape[0] - 1):
-            state.push(Box.point(blocks[i]), p.q.cell_box_block(u[i]))
+            state._push(blocks[i][None], blocks[i][None], *p.q.cell_bounds(u[i][None]))
         i = u.shape[0] - 1
         for m, covered in [(0, True), (1, True), (4, True), (5, True),
                            (2, False), (3, False)]:
@@ -230,10 +231,8 @@ class TestParity:
         p = default_pipe
         M = p.poly.M
         wide = Box.uniform(-50.0, 50.0, M)
-        state = DecoderState(
-            Box.uniform(-4.0, 4.0, p.poly.N),
-            [Box.uniform(-4.0, 4.0, p.poly.N)],
-            [wide],
+        state = one_stream_state(
+            Box.uniform(-4.0, 4.0, p.poly.N), [Box.uniform(-4.0, 4.0, p.poly.N)], [wide]
         )
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -262,17 +261,17 @@ class TestStep:
             assert res.x_box.contains(blocks[i], tol=1e-9)
             assert res.n_consistent >= 1
             # the history now carries this instant's boxes
-            assert np.array_equal(state.x_hist[0].lo, res.x_box.lo)
-            assert np.array_equal(state.y_hist[0].hi, res.y_box.hi)
+            assert np.array_equal(state.x_lo[0, 0], res.x_box.lo)
+            assert np.array_equal(state.y_hi[0, 0], res.y_box.hi)
 
     def test_skips_inconsistent_leader(self):
         poly, q = repeated_scalar_setup()
         ch = ChannelModel(7.0, noiseless=True)
-        bits = np.concatenate([q.binarize(2, 0), q.binarize(2, 1)])
+        bits = q.encode_stream([[2, 2]])[0]
         r = ch.transmit(bits, ch.stream(0))
         cfg = DecoderConfig(n_max=32, use_pct=False)
         input_box = Box.uniform(0.0, 1.0, 1)
-        state = DecoderState(input_box, [], [])
+        state = one_stream_state(input_box)
         res = step(r, state, poly, None, q, ch, cfg)
         assert res.flag == FLAG_CLEAN
         assert res.rank > 1
@@ -280,19 +279,16 @@ class TestStep:
         # everything ranked above the pick was genuinely infeasible
         cands = top_candidates(r, q, ch, cfg.n_max)
         for c in cands[: res.rank - 1]:
-            lo = max(q.cell_box(int(c.u[0]), 0).lo,
-                     q.cell_box(int(c.u[1]), 1).lo, 0.0)
-            hi = min(q.cell_box(int(c.u[0]), 0).hi,
-                     q.cell_box(int(c.u[1]), 1).hi, 1.0)
-            assert lo > hi
+            lo, hi = q.cell_bounds(c.u)
+            assert max(lo.max(), 0.0) > min(hi.min(), 1.0)
 
     def test_no_consistent_candidate_falls_back(self):
         poly, q = repeated_scalar_setup()
         ch = ChannelModel(7.0, noiseless=True)
-        bits = np.concatenate([q.binarize(2, 0), q.binarize(2, 1)])
+        bits = q.encode_stream([[2, 2]])[0]
         r = ch.transmit(bits, ch.stream(0))
         cfg = DecoderConfig(n_max=1, use_pct=False)
-        state = DecoderState(Box.uniform(0.0, 1.0, 1), [], [])
+        state = one_stream_state(Box.uniform(0.0, 1.0, 1))
         res = step(r, state, poly, None, q, ch, cfg)
         assert res.flag == FLAG_NO_CONSISTENT
         assert res.n_consistent == 0
@@ -313,10 +309,8 @@ class TestStep:
         i = u.shape[0] - 1
         bad_y = np.zeros(M)
         bad_y[0] = 100.0
-        state = DecoderState(
-            Box.uniform(-4.0, 4.0, N),
-            [Box.point(blocks[i - 1])],
-            [Box.point(bad_y)],
+        state = one_stream_state(
+            Box.uniform(-4.0, 4.0, N), [Box.point(blocks[i - 1])], [Box.point(bad_y)]
         )
         cfg = DecoderConfig(n_max=1)
         res = step(r[i], state, p.poly, p.parity, p.q, ch, cfg)

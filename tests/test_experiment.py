@@ -1,5 +1,6 @@
 """Experiment harness: SNR metric, config parsing, sweeps, CSV output."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -195,11 +196,35 @@ class TestSimulatePoint:
         assert res["error_rate"] == 0.0
         assert res["diagnostics"].flags.size == (cfg.n + 4) // 4
 
+    def test_list_fields_accepted(self):
+        cfg = ExperimentConfig(**{**SMALL, "snr_db": [7.0], "pgm_rows": [1, 2]})
+        assert cfg.snr_db == (7.0,) and cfg.pgm_rows == (1, 2)
+        got = simulate_point(cfg)
+        want = simulate_point(ExperimentConfig(**{**SMALL, "pgm_rows": (1, 2)}))
+        assert got["proposed"] == want["proposed"] and got["classical"] == want["classical"]
+
     def test_noisy_point_beats_classical(self):
         cfg = ExperimentConfig(**{**SMALL, "n": 400})
         res = simulate_point(cfg)
         assert res["proposed"] > res["classical"]
         assert res["reference"] >= res["proposed"]
+
+
+    def test_source_outside_input_range_rejected(self, tmp_path):
+        f = tmp_path / "img.pgm"
+        pixels = [10] * 63 + [200]
+        f.write_text("P2\n32 2\n255\n" + " ".join(map(str, pixels)) + "\n")
+        cfg = ExperimentConfig(
+            source="pgm", pgm_path=str(f), pgm_rows=(0, 1), pgm_range=(0.0, 100.0), n=64,
+            delta=8.0, snr_db=(7.0,), realizations=1,
+        )
+        with pytest.raises(ValueError, match=r"sample 200 lies outside the input range \[0, 100\]"):
+            simulate_point(cfg)
+        with pytest.raises(ValueError, match=r"outside the input range \[0, 100\]"):
+            run_sweep(cfg)
+        # the same pixels within pgm_range decode
+        cfg = dataclasses.replace(cfg, pgm_range=(0.0, 255.0))
+        assert np.isfinite(simulate_point(cfg)["classical"])
 
 
 class TestWriteCsv:

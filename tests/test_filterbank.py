@@ -14,6 +14,7 @@ from ofbdec.filterbank import (
     parity_from_polyphase,
     polyphase_from_filters,
     synthesize_ls,
+    _window_system,
     verify_annihilation,
 )
 
@@ -205,7 +206,7 @@ class TestSynthesizeLS:
         pert = synthesize_ls(poly, yp, window=8)
         # dense oracle: stack the full system and take its pseudo-inverse
         T = y.shape[0]
-        A = poly.frame_matrix(T)
+        A = _window_system(poly, 0, T - 1, 0, T - 1)
         dx = np.linalg.pinv(A) @ (yp - y).ravel()
         bound = np.max(np.abs(dx)) + 1e-9
         mid = slice(8 * poly.N, -8 * poly.N)

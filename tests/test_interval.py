@@ -1,10 +1,9 @@
-"""Interval arithmetic, boxes, and the affine contractor."""
+"""Intervals, boxes, and the affine contractor."""
 
 import numpy as np
 import pytest
 
 from ofbdec.interval import (
-    EMPTY,
     Box,
     Interval,
     _contract_affine_batch,
@@ -14,28 +13,44 @@ from ofbdec.interval import (
 )
 
 
+def meet(a, b):
+    """Intersection of two boxes, as the contractor computes it: a
+    contracted against the identity constraint x in b."""
+    return contract_affine(np.eye(a.dim), a, b)
+
+
 class TestInterval:
+    """Interval is the validated (lo, hi) pair; sums, scalings and
+    intersections of intervals are checked on the operations that
+    compute them, matvec_box and the contractor, over 1-d boxes."""
+
     def test_add(self):
-        assert Interval(0, 1) + Interval(2, 3) == Interval(2, 4)
+        # [0, 1] + [2, 3], the image of the box under the row (1, 1)
+        got = matvec_box(np.array([[1.0, 1.0]]), Box([0.0, 2.0], [1.0, 3.0]))
+        assert got == Box([2.0], [4.0])
 
     def test_scale_negative(self):
-        assert Interval(-1, 1).scale(-2) == Interval(-2, 2)
+        assert matvec_box(np.array([[-2.0]]), Box([-1.0], [1.0])) == Box([-2.0], [2.0])
+        assert matvec_box(np.array([[-2.0]]), Box([0.5], [1.0])) == Box([-2.0], [-1.0])
 
     def test_empty_absorbs(self):
-        assert (EMPTY + Interval(0, 1)).is_empty
-        assert (Interval(0, 1) - EMPTY).is_empty
-        assert EMPTY.scale(3.0).is_empty
-        assert EMPTY.intersect(Interval(0, 1)).is_empty
+        e = Box.empty(1)
+        assert matvec_box(np.array([[3.0]]), e).is_empty
+        assert meet(e, Box([0.0], [1.0])).is_empty
+        assert meet(Box([0.0], [1.0]), e).is_empty
 
     def test_intersect(self):
-        assert Interval(0, 2).intersect(Interval(1, 3)) == Interval(1, 2)
-        assert Interval(0, 1).intersect(Interval(2, 3)).is_empty
-        assert Interval(0, 1).intersect(Interval(0, 1)) == Interval(0, 1)
+        assert meet(Box([0.0], [2.0]), Box([1.0], [3.0])) == Box([1.0], [2.0])
+        assert meet(Box([0.0], [1.0]), Box([2.0], [3.0])).is_empty
+        assert meet(Box([0.0], [1.0]), Box([0.0], [1.0])) == Box([0.0], [1.0])
 
     def test_touching_intersection_is_a_point(self):
-        got = Interval(0, 1).intersect(Interval(1, 3))
+        got = meet(Box([0.0], [1.0]), Box([1.0], [3.0]))
         assert not got.is_empty
-        assert got.lo == got.hi == 1.0
+        assert got.lo[0] == got.hi[0] == 1.0
+        # a gap within the rounding margin is no proof of emptiness
+        got = meet(Box([0.0], [1.0]), Box([1.0 + 1e-15], [3.0]))
+        assert not got.is_empty and got.lo[0] == got.hi[0]
 
     def test_width_center_contains(self):
         iv = Interval(-1, 3)
@@ -48,15 +63,17 @@ class TestInterval:
             Interval(2, 1)
 
     def test_empty_is_distinct(self):
-        assert EMPTY != Interval(0, 0)
-        assert EMPTY.is_empty and not Interval(0, 0).is_empty
+        assert Box.empty(1) != Box.point([0.0])
+        assert Box.empty(1).is_empty and not Box.point([0.0]).is_empty
+        assert Interval(0, 0).width == 0.0
 
 
 class TestBox:
     def test_empty_iff_any_component(self):
-        b = Box.from_intervals([Interval(0, 1), EMPTY])
-        assert b.is_empty
-        assert not Box.from_intervals([Interval(0, 1), Interval(2, 3)]).is_empty
+        # one infeasible component makes the whole box empty
+        got = meet(Box([0.0, 0.0], [1.0, 1.0]), Box([0.0, 2.0], [1.0, 3.0]))
+        assert got.is_empty and np.all(np.isnan(got.lo))
+        assert not meet(Box([0.0, 0.0], [1.0, 3.0]), Box([0.0, 2.0], [1.0, 3.0])).is_empty
 
     def test_center_width_componentwise(self):
         b = Box(np.array([0.0, -2.0]), np.array([1.0, 2.0]))
@@ -65,18 +82,20 @@ class TestBox:
         assert np.allclose(b.radius, [0.5, 2.0])
 
     def test_add_sub(self):
-        a = Box(np.zeros(2), np.ones(2))
-        b = Box(np.full(2, 2.0), np.full(2, 3.0))
-        s = a + b
+        # a + b and a - b, the images of the stacked box (a; b) under
+        # (I I) and (I -I)
+        ab = Box(np.r_[np.zeros(2), np.full(2, 2.0)], np.r_[np.ones(2), np.full(2, 3.0)])
+        eye = np.eye(2)
+        s = matvec_box(np.hstack([eye, eye]), ab)
         assert np.allclose(s.lo, 2) and np.allclose(s.hi, 4)
-        d = a - b
+        d = matvec_box(np.hstack([eye, -eye]), ab)
         assert np.allclose(d.lo, -3) and np.allclose(d.hi, -1)
 
     def test_intersect_empty(self):
         a = Box(np.zeros(2), np.ones(2))
         b = Box(np.full(2, 2.0), np.full(2, 3.0))
-        assert a.intersect(b).is_empty
-        assert a.intersect(a) == a
+        assert meet(a, b).is_empty
+        assert meet(a, a) == a
 
     def test_point_and_uniform(self):
         p = Box.point(np.array([1.0, 2.0]))

@@ -1,5 +1,7 @@
 """Scalar quantizers, rate allocation, and index/bit codes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,125 +54,133 @@ class TestAllocateRates:
             make_bank([4.0], 0.0)
 
 
+def cell(q, u):
+    """Endpoints of the cell of index u on a one-subband bank."""
+    lo, hi = q.cell_bounds(np.array([[u]]))
+    return lo[0, 0], hi[0, 0]
+
+
 class TestScalarQuantizer:
     def test_midtread_zero_cell(self):
         q = make_bank([8.0], 1.0)
-        assert q.quantize(0.2, 0) == 0
-        assert q.dequantize(0, 0) == 0.0
-        assert q.cell_box(0, 0) == Interval(-0.5, 0.5)
+        assert q.quantize_block([[0.2]]).tolist() == [[0]]
+        assert q.dequantize_block([[0]]).tolist() == [[0.0]]
+        assert cell(q, 0) == (-0.5, 0.5)
 
     def test_rounding_boundary(self):
         q = make_bank([8.0], 1.0)
-        assert q.quantize(0.51, 0) == 1
-        assert q.cell_box(1, 0) == Interval(0.5, 1.5)
+        assert q.quantize_block([[0.51]]).tolist() == [[1]]
+        assert cell(q, 1) == (0.5, 1.5)
 
     def test_ties_away_from_zero(self):
         q = make_bank([8.0], 1.0)
-        assert q.quantize(0.5, 0) == 1
-        assert q.quantize(-0.5, 0) == -1
+        y = np.array([[0.5], [-0.5], [1.5], [-2.5]])
+        assert q.quantize_block(y).ravel().tolist() == [1, -1, 2, -3]
 
     def test_clamping(self):
         q = make_bank([8.0], 1.0)  # R=3, indexes -4..3
-        assert q.quantize(100.0, 0) == 3
-        assert q.quantize(-100.0, 0) == -4
+        assert q.quantize_block([[100.0], [-100.0]]).ravel().tolist() == [3, -4]
 
     def test_quantization_noise_bounded(self):
         # away from the saturated end cells the error is at most delta/2
         q = make_bank([8.0], 1.0)
         rng = np.random.default_rng(0)
-        y = rng.uniform(-3.45, 3.45, size=100_000)
-        u = q.quantize_block(y.reshape(-1, 1)).ravel()
-        err = y - u * q.deltas[0]
+        y = rng.uniform(-3.45, 3.45, size=(100_000, 1))
+        err = y - q.dequantize_block(q.quantize_block(y))
         assert np.max(np.abs(err)) <= 0.5 + 1e-12
-        for v in y[:300]:
-            idx = q.quantize(v, 0)
-            assert abs(v - q.dequantize(idx, 0)) <= 0.5 + 1e-12
 
     def test_cell_contains_input_over_full_range(self):
         q = make_bank([8.0], 1.0)
         rng = np.random.default_rng(4)
-        y = rng.uniform(-4.0, 4.0, size=5_000)
-        u = q.quantize_block(y.reshape(-1, 1)).ravel()
-        for v, idx in zip(y, u):
-            assert q.cell_box(int(idx), 0).contains(v, tol=1e-12)
+        y = rng.uniform(-4.0, 4.0, size=(5_000, 1))
+        lo, hi = q.cell_bounds(q.quantize_block(y))
+        assert np.all(lo - 1e-12 <= y) and np.all(y <= hi + 1e-12)
 
     def test_saturated_cells_extend_to_range_edge(self):
         # the midtread grid sits half a step low, so the top cell needs
         # extending when the range edge falls past its natural boundary
         q = make_bank([4.0], 1.0)  # R=2, cells -2..1 cover [-2.5, 1.5]
-        assert q.cell_box(1, 0) == Interval(0.5, 2.0)
-        assert q.cell_box(-2, 0) == Interval(-2.5, -1.5)
+        assert cell(q, 1) == (0.5, 2.0)
+        assert cell(q, -2) == (-2.5, -1.5)
         # a grid that already overcovers keeps its natural edges
         q2 = make_bank([9.0], 1.0)  # R=4, cells -8..7 span [-8.5, 7.5]
-        assert q2.cell_box(-8, 0) == Interval(-8.5, -7.5)
-        assert q2.cell_box(7, 0) == Interval(6.5, 7.5)
+        assert cell(q2, -8) == (-8.5, -7.5)
+        assert cell(q2, 7) == (6.5, 7.5)
 
     def test_cells_tile_the_line(self):
         q = make_bank([8.0], 1.0)
-        for u in range(-4, 3):
-            a = q.cell_box(u, 0)
-            b = q.cell_box(u + 1, 0)
-            assert a.hi == b.lo
+        lo, hi = q.cell_bounds(np.arange(-4, 4)[:, None])
+        assert np.array_equal(hi[:-1], lo[1:])
+
+
+def one_subband(R, gray=False):
+    half = float(1 << (R - 1))
+    return QuantizerBank([1.0], [R], Box(np.array([-half]), np.array([half])), gray=gray)
 
 
 class TestBits:
     def test_minus_one_on_three_bits(self):
-        q = QuantizerBank([1.0], [3], Box(np.array([-4.0]), np.array([4.0])))
-        assert q.binarize(-1, 0).tolist() == [0, 1, 1]
+        q = one_subband(3)
+        assert q.encode_stream([[-1]]).tolist() == [[0, 1, 1]]
 
     def test_zero_on_two_bits(self):
-        q = QuantizerBank([1.0], [2], Box(np.array([-2.0]), np.array([2.0])))
-        assert q.binarize(0, 0).tolist() == [1, 0]
+        q = one_subband(2)
+        assert q.encode_stream([[0]]).tolist() == [[1, 0]]
 
     def test_round_trip_all_values(self):
         for R in (1, 2, 5, 8):
-            q = QuantizerBank([1.0], [R], Box(np.array([-300.0]), np.array([300.0])))
-            for u in range(-(1 << (R - 1)), 1 << (R - 1)):
-                assert q.debinarize(q.binarize(u, 0), 0) == u
+            q = one_subband(R)
+            u = np.arange(-(1 << (R - 1)), 1 << (R - 1))[:, None]
+            assert np.array_equal(q.decode_stream(q.encode_stream(u)), u)
 
     def test_gray_round_trip_and_adjacency(self):
-        q = QuantizerBank(
-            [1.0], [4], Box(np.array([-8.0]), np.array([8.0])), gray=True
-        )
-        prev = None
-        for u in range(-8, 8):
-            bits = q.binarize(u, 0)
-            assert q.debinarize(bits, 0) == u
-            if prev is not None:
-                assert int(np.sum(prev != bits)) == 1  # Gray neighbors
-            prev = bits
+        q = one_subband(4, gray=True)
+        u = np.arange(-8, 8)[:, None]
+        bits = q.encode_stream(u)
+        assert np.array_equal(q.decode_stream(bits), u)
+        # Gray neighbors differ in one bit
+        assert np.all(np.sum(bits[1:] != bits[:-1], axis=1) == 1)
 
     def test_out_of_range_index(self):
-        q = QuantizerBank([1.0], [2], Box(np.array([-2.0]), np.array([2.0])))
-        with pytest.raises(ValueError, match="out of range"):
-            q.binarize(2, 0)
+        q = QuantizerBank([1.0, 1.0], [3, 2], Box(np.array([-4.0, -2.0]), np.array([4.0, 2.0])))
+        assert q.encode_stream([[3, -2], [-4, 1]]).shape == (2, 5)
+        # u = o_m would index past the code table, u = -o_m - 1 would
+        # wrap around to the codeword of o_m - 1
+        for bad in ([0, 2], [0, -3]):
+            with pytest.raises(ValueError, match=r"out of range \[-2, 1\] for subband 1"):
+                q.encode_stream([[0, 0], bad])
 
     def test_bit_length_mismatch(self):
-        q = QuantizerBank([1.0], [3], Box(np.array([-4.0]), np.array([4.0])))
+        q = one_subband(3)
         with pytest.raises(ValueError, match="bits"):
-            q.debinarize(np.array([1, 0]), 0)
+            q.decode_stream(np.array([[1, 0]]))
 
     def test_non_binary_bits(self):
-        q = QuantizerBank([1.0], [2], Box(np.array([-2.0]), np.array([2.0])))
-        with pytest.raises(ValueError):
-            q.debinarize(np.array([0, 2]), 0)
+        with pytest.raises(ValueError, match="0 or 1"):
+            one_subband(2).decode_stream(np.array([[0, 2]]))
+        # a 2 in the top bit would decode to 16, past a 5-bit code
+        with pytest.raises(ValueError, match="0 or 1"):
+            one_subband(5).decode_stream(np.array([[2, 0, 0, 0, 0]]))
 
 
 class TestBlockStream:
     def test_block_matches_scalar(self, default_pipe):
+        # reference: the per-sample formula, one subband sample at a time
         q = default_pipe.q
         rng = np.random.default_rng(1)
         y = rng.uniform(-6, 6, size=(40, q.M))
         u = q.quantize_block(y)
-        for i in range(y.shape[0]):
-            for m in range(q.M):
-                assert u[i, m] == q.quantize(y[i, m], m)
         yd = q.dequantize_block(u)
         for i in range(y.shape[0]):
             for m in range(q.M):
-                assert yd[i, m] == q.dequantize(u[i, m], m)
+                d, o = q.deltas[m], int(q.offsets[m])
+                a = math.floor(abs(y[i, m]) / d + 0.5)
+                want = min(max(a if y[i, m] >= 0.0 else -a, -o), o - 1)
+                assert u[i, m] == want
+                assert yd[i, m] == want * d
 
     def test_cell_bounds_match_scalar(self, default_pipe):
+        # reference: the per-cell formula, saturated cells extended
         q = default_pipe.q
         rng = np.random.default_rng(2)
         y = rng.uniform(-12, 12, size=(25, q.M))
@@ -178,8 +188,13 @@ class TestBlockStream:
         lo, hi = q.cell_bounds(u)
         for i in range(u.shape[0]):
             for m in range(q.M):
-                cell = q.cell_box(int(u[i, m]), m)
-                assert lo[i, m] == cell.lo and hi[i, m] == cell.hi
+                d, o, v = q.deltas[m], int(q.offsets[m]), int(u[i, m])
+                want_lo, want_hi = v * d - 0.5 * d, v * d + 0.5 * d
+                if v == -o:
+                    want_lo = min(want_lo, q.ranges.lo[m])
+                if v == o - 1:
+                    want_hi = max(want_hi, q.ranges.hi[m])
+                assert lo[i, m] == want_lo and hi[i, m] == want_hi
 
     def test_stream_round_trip(self, default_pipe):
         q = default_pipe.q

@@ -55,6 +55,10 @@ class TestAr1:
         with pytest.raises(ValueError, match="clip"):
             gen_ar1(10, 0.5, 0.0, rng)
 
+    def test_empty_length_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            gen_ar1(0, 0.9, 4.0, np.random.default_rng(0))
+
 
 def write_p2(path, width, height, maxval, pixels):
     body = " ".join(str(v) for v in pixels)
