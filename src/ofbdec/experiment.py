@@ -77,6 +77,11 @@ def reconstruction_snr(x, x_hat, skip):
     return min(SNR_CAP_DB, 10.0 * math.log10(p_sig / p_err))
 
 
+# smallest accepted values; the bank-dependent window floor, 2*(L+1),
+# is checked when the Pipeline is built
+_CONFIG_FLOORS = {"n_max": 1, "window": 2}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     source: str = "ar1"  # "ar1" or "pgm"
@@ -105,6 +110,16 @@ class ExperimentConfig:
         # keys the pipeline cache
         for name in ("pgm_rows", "pgm_range", "snr_db"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        if self.source not in ("ar1", "pgm"):
+            raise ValueError(f"source must be 'ar1' or 'pgm', got {self.source!r}")
+        if not self.snr_db:
+            raise ValueError("snr_db list is empty")
+        for name in ("realizations", "n", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, floor in _CONFIG_FLOORS.items():
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be at least {floor}")
 
 
 _CONFIG_PARSERS = {
@@ -129,11 +144,6 @@ _CONFIG_PARSERS = {
     "workers": int,
     "out": str,
 }
-
-
-# smallest accepted values; the bank-dependent window floor, 2*(L+1),
-# is checked when the Pipeline is built
-_CONFIG_FLOORS = {"n_max": 1, "window": 2}
 
 
 def _parse_bool(s):
@@ -172,15 +182,12 @@ def parse_config(text, origin="<config>"):
     for key, floor in _CONFIG_FLOORS.items():
         if key in values and values[key] < floor:
             raise ValueError(f"{origin}:{lines[key]}: {key} must be at least {floor}")
-    cfg = ExperimentConfig(**values)
-    if cfg.source not in ("ar1", "pgm"):
-        raise ValueError(f"{origin}: source must be 'ar1' or 'pgm'")
+    try:
+        cfg = ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{origin}: {exc}") from None
     if cfg.source == "pgm" and not cfg.pgm_path:
         raise ValueError(f"{origin}: pgm source requires pgm_path")
-    if not cfg.snr_db:
-        raise ValueError(f"{origin}: snr_db list is empty")
-    if cfg.realizations < 1 or cfg.n < 1 or cfg.workers < 1:
-        raise ValueError(f"{origin}: realizations, n, workers must be positive")
     return cfg
 
 
@@ -194,6 +201,8 @@ class Pipeline:
     realizations: bank, parity, quantizers, ranges, warmup length."""
 
     def __init__(self, cfg):
+        if cfg.source == "pgm" and not cfg.pgm_path:
+            raise ValueError("pgm source requires pgm_path")
         if cfg.bank == "default":
             bank = default_filter_bank()
         else:

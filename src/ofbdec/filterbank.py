@@ -88,7 +88,7 @@ class Polyphase:
         self._pinv0 = None
         self._e0_full_rank = None
         self._frame_sigma = {}  # n_blocks -> smallest frame singular value
-        self._interior_rows = {}  # window -> central rows of the window pinv
+        self._synthesis_rows = {}  # (back, fwd, hist) -> emitted rows of the window pinv
 
     def left_inverse(self):
         """Cached pseudo-inverse of E_0.  A left inverse proper (W E_0 = I)
@@ -120,20 +120,20 @@ class Polyphase:
             self._frame_sigma[W] = float(np.linalg.svd(A, compute_uv=False)[-1])
         return self._frame_sigma[W]
 
-    def interior_synthesis_rows(self, window):
-        """Cached (N, window*M) rows of the pseudo-inverse of the interior
-        window system (equations 0 .. window-1 over unknown blocks -L ..
-        window-1) that give the central block, (window-1)//2."""
-        if window not in self._interior_rows:
-            L, N = self.L, self.N
-            A = _window_system(self, 0, window - 1, -L, window - 1)
+    def synthesis_rows(self, back, fwd, hist):
+        """Cached (N, (back+fwd+1)*M) rows of the pseudo-inverse of the
+        window system with equations 0 .. back+fwd over unknown blocks
+        -hist .. back+fwd that give block `back`, the emitted one."""
+        key = (back, fwd, hist)
+        if key not in self._synthesis_rows:
+            A = _window_system(self, 0, back + fwd, -hist, back + fwd)
             pinv = np.linalg.pinv(A, rcond=1e-10)
             null_proj = np.eye(A.shape[1]) - pinv @ A
-            ctr = (L + (window - 1) // 2) * N
-            if np.max(np.abs(null_proj[ctr:ctr + N])) > 1e-8:
+            rows = slice((hist + back) * self.N, (hist + back + 1) * self.N)
+            if np.max(np.abs(null_proj[rows])) > 1e-8:
                 raise ValueError("central block is not determined by the window system")
-            self._interior_rows[window] = pinv[ctr:ctr + N]
-        return self._interior_rows[window]
+            self._synthesis_rows[key] = pinv[rows]
+        return self._synthesis_rows[key]
 
 
 class ParityCheck:
@@ -257,10 +257,11 @@ def synthesize_ls(poly, y, window=8):
     least squares.
 
     For each output block, the analysis equations of `window`
-    consecutive instants centered on it are stacked and solved in the
-    least-squares sense (minimum-norm for the unidentifiable oldest
-    blocks of each window), and the central block of the solution is
-    emitted.  Blocks before the start of the stream count as zero.
+    consecutive instants centered on it, clipped to the stream, are
+    stacked and solved in the least-squares sense (minimum-norm for the
+    unidentifiable oldest blocks of each window), and the output block
+    of the solution is emitted.  Blocks before the start of the stream
+    count as known zeros.
 
     Parameters
     ----------
@@ -280,37 +281,23 @@ def synthesize_ls(poly, y, window=8):
     if sigma <= FRAME_SIGMA_MIN:
         raise ValueError("stacked system is singular: bank violates the frame property")
 
+    # block i solves equations i-back .. i+fwd, clipped to the stream,
+    # over unknowns from hist blocks before the first equation; every
+    # block of one window shape shares one cached solve
     T = y.shape[0]
-    wb = (window - 1) // 2
-    wf = window - 1 - wb
+    i = np.arange(T)
+    back = np.minimum(i, (window - 1) // 2)
+    fwd = np.minimum(T - 1 - i, window // 2)
+    hist = np.minimum(i - back, L)
+    shapes, which = np.unique(np.stack([back, fwd, hist], axis=1), axis=0, return_inverse=True)
     y_flat = y.ravel()
-    x_hat = np.zeros(T * N)
-
-    # interior: one shared system, equations j = i-wb .. i+wf,
-    # unknown blocks i-wb-L .. i+wf, solved via a precomputed
-    # pseudo-inverse; only the central block's rows are kept.
-    mid = [i for i in range(T) if i - wb >= 0 and i + wf <= T - 1]
-    if mid:
-        ctr_rows = poly.interior_synthesis_rows(window)
-        first = mid[0]
-        offsets = np.arange(len(mid))[:, None] * M + np.arange(window * M)[None, :]
-        windows = y_flat[(first - wb) * M + offsets]
-        x_hat[first * N:(mid[-1] + 1) * N] = (windows @ ctr_rows.T).ravel()
-
-    # boundary blocks: per-index systems with clipped equation ranges
-    # and pre-start blocks dropped as known zeros.
-    for i in range(T):
-        if mid and mid[0] <= i <= mid[-1]:
-            continue
-        eq_lo = max(0, i - wb)
-        eq_hi = min(T - 1, i + wf)
-        unk_lo = max(0, eq_lo - L)
-        A = _window_system(poly, eq_lo, eq_hi, unk_lo, eq_hi)
-        rhs = y_flat[eq_lo * M:(eq_hi + 1) * M]
-        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        pos = (i - unk_lo) * N
-        x_hat[i * N:(i + 1) * N] = sol[pos:pos + N]
-    return x_hat
+    x_hat = np.zeros((T, N))
+    for k, (b, f, h) in enumerate(shapes.tolist()):
+        blocks = np.flatnonzero(which == k)
+        rows = poly.synthesis_rows(b, f, h)
+        windows = y_flat[(blocks[:, None] - b) * M + np.arange(rows.shape[1])]
+        x_hat[blocks] = windows @ rows.T
+    return x_hat.ravel()
 
 
 def _parse_bank_text(text, origin):

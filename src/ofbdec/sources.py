@@ -87,8 +87,11 @@ def load_pgm_lines(path, rows, count):
         need = width * height
         if len(buf) - pos < need:
             raise ValueError(f"{path}: raster truncated at byte {len(buf)}")
-        image = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos)
-        image = image.reshape(height, width).astype(float)
+        raster = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos)
+        k = int(np.argmax(raster > maxval))  # the first pixel above maxval, if any
+        if raster[k] > maxval:
+            raise ValueError(f"{path}: pixel {raster[k]} out of range at byte {pos + k}")
+        image = raster.reshape(height, width).astype(float)
     else:
         values = np.empty(width * height)
         for k in range(width * height):

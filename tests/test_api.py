@@ -9,6 +9,9 @@ benchmark; these tests make that a test failure here first.
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -95,3 +98,14 @@ def test_members_reached_from_outside():
     assert {f.name for f in dataclasses.fields(od.SnrPoint)} >= {
         "snr_db", "receiver", "mean_snr_db", "error_rate",
     }
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about a second of start-up; only box_hull_lp needs it,
+    # and imports it when called
+    code = "import sys, ofbdec; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "[]"

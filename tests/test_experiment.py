@@ -130,6 +130,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="window = 3 is below this bank's floor of 4"):
             run_sweep(cfg)
 
+    def test_constructor_errors_name_origin(self):
+        with pytest.raises(ValueError, match=r"^sim\.cfg: source must be 'ar1' or 'pgm'"):
+            parse_config("source = wav\n", origin="sim.cfg")
+
     def test_load_config_names_path(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("n = 64\nseed = 3\n")
@@ -185,6 +189,47 @@ def test_golden_sweep_csv():
     cfg = ExperimentConfig(n=320, realizations=3, snr_db=(7.0, 9.0), seed=11, workers=1)
     golden = (Path(__file__).parent / "data" / "golden_sweep.csv").read_text()
     assert write_csv(run_sweep(cfg), cfg, "-") == golden
+
+
+def test_golden_sweep_csv_wide_bank(monkeypatch):
+    """The same sweep on the 12x8 Walsh bank, byte for byte as first
+    recorded; the bank is named relative to tests/data, as in the CSV."""
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data)
+    cfg = ExperimentConfig(
+        bank="walsh_12x8.txt", n=400, realizations=3, snr_db=(7.0, 9.0), seed=11, workers=1
+    )
+    golden = (data / "golden_sweep_walsh.csv").read_text()
+    assert write_csv(run_sweep(cfg), cfg, "-") == golden
+
+
+class TestConfigValidation:
+    """Library callers get the config checks where the config is built."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("source", "foo", "source must be 'ar1' or 'pgm', got 'foo'"),
+            ("snr_db", (), "snr_db list is empty"),
+            ("realizations", 0, "realizations must be positive"),
+            ("n", 0, "n must be positive"),
+            ("workers", 0, "workers must be positive"),
+            ("n_max", 0, "n_max must be at least 1"),
+            ("window", 1, "window must be at least 2"),
+        ],
+    )
+    def test_rejected_on_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=rf"^{message}"):
+            ExperimentConfig(**{field: value})
+
+    def test_pgm_path_may_be_filled_later(self, tmp_path):
+        cfg = ExperimentConfig(**{**SMALL, "source": "pgm", "pgm_range": (0.0, 255.0)})
+        with pytest.raises(ValueError, match="pgm source requires pgm_path"):
+            simulate_point(cfg)
+        f = tmp_path / "a.pgm"
+        f.write_bytes(b"P5\n64 3\n255\n" + bytes(range(192)))
+        cfg = dataclasses.replace(cfg, pgm_path=str(f), pgm_rows=(0, 1, 2), n=160)
+        assert simulate_point(cfg)["snr_db"] == 7.0
 
 
 class TestSimulatePoint:

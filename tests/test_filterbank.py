@@ -216,6 +216,37 @@ class TestSynthesizeLS:
         with pytest.raises(ValueError, match="shape"):
             synthesize_ls(default_pipe.poly, np.zeros((4, 3)), window=8)
 
+    @pytest.mark.parametrize("pipe", ["tiny_pipe", "default_pipe"])
+    @pytest.mark.parametrize("window", ["floor", 8, 9])
+    def test_every_block_solves_its_clipped_window(self, pipe, window, request):
+        # oracle, boundary blocks included: block i is the least-squares
+        # solution of equations max(0, i-wb) .. min(T-1, i+wf) of the
+        # zero-state stream system, pre-start blocks being known zeros
+        poly = request.getfixturevalue(pipe).poly
+        M, N, L = poly.M, poly.N, poly.L
+        w = 2 * (L + 1) if window == "floor" else window
+        wb = (w - 1) // 2
+        wf = w - 1 - wb
+        rng = np.random.default_rng(w)
+        for T in sorted({0, 1, 2, 3, w - 1, w, w + 1, 40}):
+            y = rng.normal(size=(T, M))
+            A = np.zeros((T * M, T * N))
+            for j in range(T):
+                for b in range(max(0, j - L), j + 1):
+                    A[j * M:(j + 1) * M, b * N:(b + 1) * N] = poly.E[j - b]
+            want = np.zeros(T * N)
+            for i in range(T):
+                lo, hi = max(0, i - wb), min(T - 1, i + wf)
+                reach = max(0, lo - L)  # oldest block the equations reach
+                sol = np.linalg.lstsq(
+                    A[lo * M:(hi + 1) * M, reach * N:(hi + 1) * N],
+                    y[lo:hi + 1].ravel(), rcond=None,
+                )[0]
+                want[i * N:(i + 1) * N] = sol[(i - reach) * N:(i - reach + 1) * N]
+            got = synthesize_ls(poly, y, window=w)
+            assert got.shape == (T * N,)
+            assert np.max(np.abs(got - want), initial=0.0) < 1e-10, f"T={T}"
+
 
 class TestBankFiles:
     def test_default_bank_shape(self, default_pipe):

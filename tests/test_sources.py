@@ -136,3 +136,9 @@ class TestPgm:
         write_p2(f, 2, 1, 100, [50, 101])
         with pytest.raises(ValueError, match="pixel 101"):
             load_pgm_lines(f, (0,), 1)
+
+    def test_binary_pixel_out_of_range(self, tmp_path):
+        f = tmp_path / "a.pgm"
+        f.write_bytes(b"P5\n4 1\n100\n" + bytes([50, 100, 200, 7]))
+        with pytest.raises(ValueError, match="pixel 200 out of range at byte 13"):
+            load_pgm_lines(f, (0,), 1)
