@@ -1,11 +1,13 @@
 """Command line front end: bank validation, single runs, and sweeps."""
 
 import argparse
+import math
 import sys
 
 from .decoder import FLAG_CLEAN
 from .experiment import load_config, run_sweep, simulate_point, write_csv
 from .filterbank import (
+    HULL_SUBSET_CAP,
     default_filter_bank,
     load_filter_bank,
     parity_from_polyphase,
@@ -32,6 +34,16 @@ def _cmd_bank_check(args):
     print(f"parity: {parity.rows} rows, order {parity.order}")
     print(f"parity annihilation residual = {verify_annihilation(poly, parity):.3e}")
     print(f"parity row orthonormality residual = {gram_err:.3e}")
+    cert = poly.consistency_certificates()
+    subsets = math.comb(bank.N + bank.M, bank.N)
+    if cert is None:
+        prefilter = "pinv prefilter and " if poly.e0_has_full_rank else ""
+        print(f"consistency: {subsets} row subsets exceed the cap of {HULL_SUBSET_CAP}; "
+              f"{prefilter}forward-backward sweep")
+    else:
+        print(f"consistency: {cert.bases} bases of {subsets} row subsets, "
+              f"{cert.circuits} circuits, distinct certificates per coordinate "
+              f"{', '.join(str(k) for k in cert.per_coordinate)}")
     print("ok")
     return 0
 

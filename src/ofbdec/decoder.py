@@ -4,10 +4,17 @@ consistency testing.
 Per instant the decoder (1) lists the most likely index vectors given
 the channel's soft outputs, (2) discards candidates whose quantization
 cells cannot be reached by any admissible input signal given the boxes
-decoded for the previous instants (an affine contractor supplies the
-infeasibility proofs), (3) optionally also requires candidates to be
-compatible with the parity bank, and (4) returns the first survivor in
-likelihood order together with its contracted signal box.
+decoded for the previous instants, (3) optionally also requires
+candidates to be compatible with the parity bank, and (4) returns the
+first survivor in likelihood order together with its signal box.
+
+The consistency test (2) bounds the polytope of admissible current
+input blocks, {x in input box : E_0 x in cells - history reach}.  On
+banks small enough to enumerate (see Polyphase.consistency_certificates)
+LP-dual certificates cached per bank give its exact box hull and
+Farkas circuits prove it empty; larger banks intersect the input box
+with a pinv prefilter instead.  A forward-backward affine contractor
+then runs on either result.
 
 Decoding runs in lockstep: B independent streams advance one instant at
 a time together, their histories held as arrays of shape (B, L, N) and
@@ -40,7 +47,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .filterbank import synthesize_ls
-from .interval import Box, box_hull_lp, _contract_affine_batch
+from .interval import Box, box_hull_lp, _certificate_hull, _contract_affine_batch
 
 __all__ = [
     "FLAG_CLEAN",
@@ -282,12 +289,19 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
     K candidates.  Returns (lo, hi, empty): (B, K, N) endpoint arrays
     and the (B, K) mask of candidates proven inconsistent.
 
-    The sweep backend first intersects the prior with the left-inverse
-    image E_0^+ [c] of the constraint cells.  Any feasible x satisfies
+    The sweep backend first bounds the polytope
+    {x : x in input box, E_0 x in [c]}, [c] being the cells minus the
+    history reach.  When the bank has consistency certificates, their
+    two matrix products give its exact box hull, and its circuits prove
+    EMPTY exactly the candidates no input reaches (rows proven EMPTY
+    become points, on which the sweep stalls at once).  Otherwise, when
+    E_0 has full column rank, the prior is intersected with the
+    left-inverse image E_0^+ [c]: any feasible x satisfies
     x = E_0^+ (E_0 x) with E_0 x in [c], so the interval image is a
-    sound outer enclosure; without this step the forward-backward
-    sweeps alone cannot contract banks whose E_0 rows mix all input
-    components (their fixpoint is the prior itself).
+    sound outer enclosure; without it the forward-backward sweeps alone
+    cannot contract banks whose E_0 rows mix all input components
+    (their fixpoint is the prior itself).  The sweeps then run on the
+    result in every case.
     """
     B, K, M = cell_lo.shape
     N = poly.N
@@ -308,22 +322,31 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
                     lo[b, k] = box.lo
                     hi[b, k] = box.hi
         return lo, hi, empty
-    lo = np.broadcast_to(input_box.lo, (B, K, N)).copy()
-    hi = np.broadcast_to(input_box.hi, (B, K, N)).copy()
-    empty = np.zeros((B, K), dtype=bool)
-    if poly.e0_has_full_rank:
-        W = poly.left_inverse()
-        px_c = 0.5 * (c_lo + c_hi) @ W.T
-        px_r = 0.5 * (c_hi - c_lo) @ np.abs(W).T
-        lo = np.maximum(lo, px_c - px_r)
-        hi = np.minimum(hi, px_c + px_r)
-        gap = lo - hi
-        eps = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
-        empty |= np.any(gap > eps, axis=2)
-        mid = 0.5 * (lo + hi)
-        touch = gap > 0.0
-        lo = np.where(touch, mid, lo)
-        hi = np.where(touch, mid, hi)
+    certificates = poly.consistency_certificates()
+    if certificates is not None:
+        l = np.concatenate([np.broadcast_to(input_box.lo, (B, K, N)), c_lo], axis=2)
+        u = np.concatenate([np.broadcast_to(input_box.hi, (B, K, N)), c_hi], axis=2)
+        lo, hi, empty = _certificate_hull(certificates, l, u)
+        # rows proven EMPTY become points, on which the sweep stalls at once
+        lo = np.where(empty[..., None], 0.5 * (lo + hi), lo)
+        hi = np.where(empty[..., None], lo, hi)
+    else:
+        lo = np.broadcast_to(input_box.lo, (B, K, N)).copy()
+        hi = np.broadcast_to(input_box.hi, (B, K, N)).copy()
+        empty = np.zeros((B, K), dtype=bool)
+        if poly.e0_has_full_rank:
+            W = poly.left_inverse()
+            px_c = 0.5 * (c_lo + c_hi) @ W.T
+            px_r = 0.5 * (c_hi - c_lo) @ np.abs(W).T
+            lo = np.maximum(lo, px_c - px_r)
+            hi = np.minimum(hi, px_c + px_r)
+            gap = lo - hi
+            eps = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
+            empty |= np.any(gap > eps, axis=2)
+            mid = 0.5 * (lo + hi)
+            touch = gap > 0.0
+            lo = np.where(touch, mid, lo)
+            hi = np.where(touch, mid, hi)
     # one contractor group of K rows per stream, so each stream stops at
     # its own stall test
     empty |= _contract_affine_batch(
@@ -337,7 +360,9 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
 def consistency_box(u, state, poly, q, cfg=None):
     """Contracted box of input blocks that can produce subband values in
     the cells of index vector u, given the decoded history; EMPTY when
-    the candidate is proven inconsistent."""
+    the candidate is proven inconsistent.  On a bank with consistency
+    certificates (and with the lp contractor) this is the exact box
+    hull of those inputs; see _consistency_batch."""
     cfg = cfg if cfg is not None else DecoderConfig()
     cell_lo, cell_hi = q.cell_bounds(np.asarray(u, dtype=np.int64).reshape(1, 1, -1))
     lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly, cfg)

@@ -21,9 +21,9 @@ import numpy as np
 from .channel import ChannelModel
 from .decoder import DecoderConfig, decode_classical, decode_sequence, decode_streams
 from .filterbank import (
+    _bank_source,
+    _parse_bank_text,
     analyze,
-    default_filter_bank,
-    load_filter_bank,
     parity_from_polyphase,
     polyphase_from_filters,
     synthesize_ls,
@@ -114,6 +114,12 @@ class ExperimentConfig:
             raise ValueError(f"source must be 'ar1' or 'pgm', got {self.source!r}")
         if not self.snr_db:
             raise ValueError("snr_db list is empty")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ValueError(f"snr_db values must be finite, got {self.snr_db}")
+        if self.contractor not in ("sweep", "lp"):
+            raise ValueError(f"contractor must be 'sweep' or 'lp', got {self.contractor!r}")
+        if self.source == "ar1" and not 0.0 <= self.rho < 1.0:
+            raise ValueError(f"rho must lie in [0, 1) for an ar1 source, got {self.rho}")
         for name in ("realizations", "n", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -203,18 +209,12 @@ class Pipeline:
     def __init__(self, cfg):
         if cfg.source == "pgm" and not cfg.pgm_path:
             raise ValueError("pgm source requires pgm_path")
-        if cfg.bank == "default":
-            bank = default_filter_bank()
-        else:
-            bank = load_filter_bank(cfg.bank)
         self.cfg = cfg
-        self.bank = bank
-        self.poly = polyphase_from_filters(bank)
+        self.bank, self.poly, self.parity = _bank_chain(*_bank_source(cfg.bank))
         if cfg.window < 2 * (self.poly.L + 1):
             raise ValueError(
                 f"window = {cfg.window} is below this bank's floor of {2 * (self.poly.L + 1)}"
             )
-        self.parity = parity_from_polyphase(self.poly)
         if cfg.source == "ar1":
             self.x_range = Interval(-cfg.clip, cfg.clip)
         else:
@@ -243,6 +243,17 @@ class Pipeline:
                 f"source sample {x[outside][0]:g} lies outside the input range [{lo:g}, {hi:g}]"
             )
         return np.concatenate([np.zeros(self.poly.L * self.poly.N), x])
+
+
+@functools.lru_cache(maxsize=4)
+def _bank_chain(text, origin):
+    """(FilterBank, Polyphase, ParityCheck) of a bank file's text.  Every
+    config naming the same text shares them, and with them the caches
+    the Polyphase fills (synthesis rows, frame singular values,
+    consistency certificates); an edited file is a new key."""
+    bank = _parse_bank_text(text, origin)
+    poly = polyphase_from_filters(bank)
+    return bank, poly, parity_from_polyphase(poly)
 
 
 @functools.lru_cache(maxsize=1)

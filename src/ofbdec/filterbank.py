@@ -14,7 +14,11 @@ parity bank P_0 .. P_L' annihilates every valid subband stream,
     sum_l P_l @ y[i-l] = 0  for all i.
 """
 
+import math
+
 import numpy as np
+
+from .interval import HullCertificates
 
 __all__ = [
     "FilterBank",
@@ -30,6 +34,11 @@ __all__ = [
 ]
 
 FRAME_SIGMA_MIN = 1e-8
+# banks whose [I_N; E_0] has more N-row subsets than this are not
+# enumerated for consistency certificates (10 on the tiny 3x2 bank, 210
+# on the bundled 6x4 bank, 125,970 on a 12x8 bank)
+HULL_SUBSET_CAP = 4096
+_NOT_BUILT = object()
 _DEFAULT_BANK_RESOURCE = "haar_6x4.txt"
 
 
@@ -87,6 +96,7 @@ class Polyphase:
         self.N = E.shape[2]
         self._pinv0 = None
         self._e0_full_rank = None
+        self._certificates = _NOT_BUILT
         self._frame_sigma = {}  # n_blocks -> smallest frame singular value
         self._synthesis_rows = {}  # (back, fwd, hist) -> emitted rows of the window pinv
 
@@ -104,6 +114,18 @@ class Polyphase:
         if self._e0_full_rank is None:
             self.left_inverse()
         return self._e0_full_rank
+
+    def consistency_certificates(self):
+        """Cached HullCertificates of A = [I_N; E_0], the constraint
+        matrix of one instant's consistency test (input box rows, then
+        subband rows), or None when A has more than
+        HULL_SUBSET_CAP N-row subsets to enumerate."""
+        if self._certificates is _NOT_BUILT:
+            if math.comb(self.N + self.M, self.N) > HULL_SUBSET_CAP:
+                self._certificates = None
+            else:
+                self._certificates = HullCertificates(np.vstack([np.eye(self.N), self.E[0]]))
+        return self._certificates
 
     def stacked_oldest_first(self):
         """(M, N*(L+1)) matrix (E_L E_{L-1} ... E_0) acting on stacked
@@ -326,6 +348,18 @@ def _parse_bank_text(text, origin):
         raise ValueError(f"{origin}: {exc}") from None
 
 
+def _bank_source(name):
+    """(text, origin) of the bank file at path name, or of the bundled
+    bank when name is "default"."""
+    if name == "default":
+        from importlib.resources import files
+
+        text = files("ofbdec.data").joinpath(_DEFAULT_BANK_RESOURCE).read_text()
+        return text, _DEFAULT_BANK_RESOURCE
+    with open(name, "r", encoding="utf-8") as fh:
+        return fh.read(), str(name)
+
+
 def load_filter_bank(path):
     """Load and validate a filter bank from a plain-text file.
 
@@ -339,7 +373,4 @@ def load_filter_bank(path):
 
 def default_filter_bank():
     """The bundled Haar-type bank: M=6 subbands, N=4, order L=1."""
-    from importlib.resources import files
-
-    text = files("ofbdec.data").joinpath(_DEFAULT_BANK_RESOURCE).read_text()
-    return _parse_bank_text(text, _DEFAULT_BANK_RESOURCE)
+    return _parse_bank_text(*_bank_source("default"))

@@ -1,4 +1,5 @@
-"""Closed intervals, boxes, and an affine-constraint contractor.
+"""Closed intervals, boxes, an affine-constraint contractor, and the
+LP-dual certificates of an exact box hull.
 
 The decoder needs three guarantees from this module: interval evaluation
 of affine maps never under-covers the true range, boxes returned by the
@@ -11,6 +12,8 @@ not chase directed rounding at the ulp level; emptiness decisions inside
 the contractor carry a small scale-relative margin instead, so a claim
 of EMPTY is always backed by a clearly positive gap.
 """
+
+import itertools
 
 import numpy as np
 
@@ -25,6 +28,9 @@ __all__ = [
 # Margin factor for emptiness proofs inside the contractor; see module
 # docstring.
 _GAP_RTOL = 1e-12
+# smallest singular value, relative to the largest, of a basis that
+# HullCertificates accepts
+_BASIS_RCOND = 1e-10
 
 
 class Interval:
@@ -281,6 +287,112 @@ def _contract_affine_batch(A, lo, hi, c_lo, c_hi, tol, max_sweeps, group=None):
 
     lo_out[rows], hi_out[rows], empty_out[rows] = box[0].T, box[1].T, empty
     return empty_out
+
+
+class HullCertificates:
+    """LP-dual data that give the exact box hull of
+    P = {x : l <= A x <= u} for any offsets l <= u, computed once per A
+    (a (rows, n) matrix of full column rank) by enumerating its n-row
+    bases.
+
+    With c, r the centre and radius of [l, u]:
+
+    * every certificate z of coordinate k (A^T z = e_k, supported on a
+      basis S, z_S = A_S^{-T} e_k) bounds x_k over P by weak duality:
+      c.z - r.|z| <= x_k <= c.z + r.|z|, and when P is not empty the
+      best certificate attains each bound (an optimal LP basis);
+    * every circuit y (the null vector of A^T supported on a minimal
+      dependent row set) proves P empty when c.y + r.|y| < 0 or
+      c.y - r.|y| > 0 (Farkas), and when P is empty some circuit does.
+
+    G holds the circuits (unit 1-norm) in its first `circuits` columns,
+    then the distinct certificates of coordinate 0, 1, ..., n-1, those
+    of coordinate k starting at column circuits + starts[k].  `slack`
+    bounds the 1-norm residual of A^T over every column, so rounding in
+    the enumeration is charged to the margins.
+    """
+
+    __slots__ = ("bases", "circuits", "per_coordinate", "starts", "G", "G_abs", "slack")
+
+    def __init__(self, A):
+        A = np.asarray(A, dtype=float)
+        rows, n = A.shape
+        subsets = np.array(list(itertools.combinations(range(rows), n)), dtype=np.int64)
+        A_S = A[subsets]
+        s = np.linalg.svd(A_S, compute_uv=False)
+        basis = subsets[s[:, -1] > _BASIS_RCOND * s[:, 0]]
+        if not basis.size:
+            raise ValueError("matrix has no nonsingular basis: its columns are dependent")
+        inv = np.linalg.inv(A[basis])  # (b, n, n)
+        b = basis.shape[0]
+        at = np.arange(b)[:, None, None]
+        # certificate of coordinate k from basis S: z_S = row k of A_S^{-1}
+        Z = np.zeros((b, n, rows))
+        Z[at, np.arange(n)[None, :, None], basis[:, None, :]] = inv
+        # fundamental circuit of row e outside S: y_e = 1, y_S = -a_e A_S^{-1}
+        Y = np.zeros((b, rows, rows))
+        Y[at, np.arange(rows)[None, :, None], basis[:, None, :]] = -(A @ inv)
+        Y[:, np.arange(rows), np.arange(rows)] += 1.0
+        Y[np.arange(b)[:, None], basis] = 0.0  # rows of S have no circuit
+        per_k = [_distinct_supports(_snap(Z[:, k])) for k in range(n)]
+        Yd = _distinct_supports(_snap(Y.reshape(b * rows, rows)))
+        Yd = Yd / np.sum(np.abs(Yd), axis=1, keepdims=True)
+        G = np.concatenate([Yd] + per_k).T
+        target = np.concatenate([np.zeros((Yd.shape[0], n))] + [
+            np.broadcast_to(np.eye(n)[k], (z.shape[0], n)) for k, z in enumerate(per_k)
+        ])
+        self.bases = b
+        self.circuits = Yd.shape[0]
+        self.per_coordinate = tuple(z.shape[0] for z in per_k)
+        self.starts = np.concatenate([[0], np.cumsum(self.per_coordinate)[:-1]])
+        self.G = np.ascontiguousarray(G)
+        self.G_abs = np.abs(self.G)
+        self.slack = float(np.max(np.sum(np.abs(G.T @ A - target), axis=1)))
+
+
+def _snap(V):
+    """Entries below 1e-12 of their row's largest magnitude, which are
+    rounding residue of exact zeros, set to zero."""
+    scale = np.max(np.abs(V), axis=1, keepdims=True)
+    return np.where(np.abs(V) > 1e-12 * scale, V, 0.0)
+
+
+def _distinct_supports(V):
+    """The nonzero rows of V with distinct supports, first of each kept.
+    A certificate or a circuit is determined by its support, so rows of
+    equal support differ only by rounding."""
+    V = V[np.any(V != 0.0, axis=1)]
+    _, first = np.unique(V != 0.0, axis=0, return_index=True)
+    return V[np.sort(first)]
+
+
+def _certificate_hull(cert, l, u):
+    """Box hull of {x : l <= A x <= u} for each row of the (..., rows)
+    offset arrays l, u, from the certificates of A.
+
+    Returns (lo, hi, empty): (..., n) bounds and the (...) mask of
+    polytopes proven EMPTY.  The EMPTY test and the bounds carry a
+    margin of _GAP_RTOL plus the enumeration's slack, scaled by the
+    offsets' magnitude, so that both lean towards keeping a candidate;
+    bounds that cross by no more than the margin collapse to a point.
+    """
+    c = 0.5 * (l + u)
+    r = 0.5 * (u - l)
+    s_c = c @ cert.G
+    s_r = r @ cert.G_abs
+    scale = 1.0 + np.max(np.abs(c), axis=-1) + np.max(r, axis=-1)
+    eps = ((_GAP_RTOL + cert.slack) * scale)[..., None]
+    k = cert.circuits
+    # c.y + r.|y| < 0 or c.y - r.|y| > 0, for r.|y| >= 0
+    empty = np.any(np.abs(s_c[..., :k]) - s_r[..., :k] > eps, axis=-1)
+    widen = cert.slack * scale[..., None]
+    hi = np.minimum.reduceat(s_c[..., k:] + s_r[..., k:], cert.starts, axis=-1) + widen
+    lo = np.maximum.reduceat(s_c[..., k:] - s_r[..., k:], cert.starts, axis=-1) - widen
+    gap = lo - hi
+    empty |= np.any(gap > _gap_eps(np.abs(lo) + np.abs(hi)), axis=-1)
+    touch = gap > 0.0
+    mid = 0.5 * (lo + hi)
+    return np.where(touch, mid, lo), np.where(touch, mid, hi), empty
 
 
 def contract_affine(A, x0, c, tol=1e-6, max_sweeps=50):

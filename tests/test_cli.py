@@ -1,5 +1,7 @@
 """Command line entry points."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,21 @@ def test_bank_check_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "M=3 subbands, N=2" in out
     assert "parity: 1 rows, order 1" in out
+
+
+def test_bank_check_prints_consistency_data(capsys):
+    assert main(["bank", "check", "default"]) == 0
+    out = capsys.readouterr().out
+    assert "consistency: 129 bases of 210 row subsets, 50 circuits" in out
+    assert "distinct certificates per coordinate 24, 24, 24, 24" in out
+
+
+def test_bank_check_above_the_cap(capsys):
+    wide = Path(__file__).parent / "data" / "walsh_12x8.txt"
+    assert main(["bank", "check", str(wide)]) == 0
+    out = capsys.readouterr().out
+    assert "consistency: 125970 row subsets exceed the cap of 4096" in out
+    assert "pinv prefilter" in out
 
 
 def test_bank_check_missing_file(capsys):

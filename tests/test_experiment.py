@@ -216,6 +216,10 @@ class TestConfigValidation:
             ("workers", 0, "workers must be positive"),
             ("n_max", 0, "n_max must be at least 1"),
             ("window", 1, "window must be at least 2"),
+            ("contractor", "foo", "contractor must be 'sweep' or 'lp', got 'foo'"),
+            ("rho", 1.0, r"rho must lie in \[0, 1\) for an ar1 source, got 1.0"),
+            ("rho", -0.5, r"rho must lie in \[0, 1\) for an ar1 source, got -0.5"),
+            ("snr_db", (7.0, float("nan")), r"snr_db values must be finite, got \(7.0, nan\)"),
         ],
     )
     def test_rejected_on_construction(self, field, value, message):
@@ -230,6 +234,27 @@ class TestConfigValidation:
         f.write_bytes(b"P5\n64 3\n255\n" + bytes(range(192)))
         cfg = dataclasses.replace(cfg, pgm_path=str(f), pgm_rows=(0, 1, 2), n=160)
         assert simulate_point(cfg)["snr_db"] == 7.0
+
+
+class TestBankReuse:
+    """The bank, its Polyphase caches and the parity bank are built once
+    per bank file text, not once per config."""
+
+    def test_configs_differing_in_seed_share_one_polyphase(self):
+        a = experiment.Pipeline(ExperimentConfig(**{**SMALL, "seed": 1}))
+        b = experiment.Pipeline(ExperimentConfig(**{**SMALL, "seed": 2}))
+        assert a.poly is b.poly and a.parity is b.parity and a.bank is b.bank
+
+    def test_edited_bank_file_is_reloaded(self, tmp_path):
+        f = tmp_path / "bank.txt"
+        f.write_text("3 2 1\n1 1\n1 -1\n0.5 0.5 -0.5 -0.5\n")
+        cfg = ExperimentConfig(**{**SMALL, "bank": str(f), "clip": 1.0, "delta": 1.0})
+        first = experiment.Pipeline(cfg)
+        assert experiment.Pipeline(cfg).poly is first.poly
+        f.write_text("3 2 1\n1 1\n1 -1\n0.5 -0.5 0.5 -0.5\n")
+        edited = experiment.Pipeline(cfg)
+        assert edited.poly is not first.poly
+        assert edited.poly.E[1, 2].tolist() == [0.5, -0.5]
 
 
 class TestSimulatePoint:
