@@ -41,6 +41,7 @@ rolled back, so one bad instant may degrade its successors.  That
 matches the reference behavior this module reimplements.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,8 +79,9 @@ _PARITY_RTOL = 1e-12
 _SWEEP_TOL = 1e-6
 _MAX_SWEEPS = 50
 # elements of the largest array one chunk of candidate listing builds:
-# chunk * n_max^2 merged partial vectors, or chunk * 2^R * R soft-bit
-# distances of an R-bit subband
+# chunk * (frontier pairs of a stage) merged partial vectors, or chunk *
+# 2^R * R soft-bit distances of an R-bit subband; a tie fallback merges
+# at most this many of its full P * S pairs at once
 _LIST_CHUNK_ELEMENTS = 2**15
 
 
@@ -170,8 +172,11 @@ def _candidate_lists(r, q, sig2, n_max):
     r is a (T, total_bits) array of soft bits.  Returns (u, scores):
     the (T, K, M) index vectors and their (T, K) log-likelihoods, K
     being the list length (n_max, or fewer when the bank has fewer
-    index vectors).  Instants are listed in chunks that bound the
-    memory of the merge arrays.
+    index vectors).  Instants are listed in chunks whose length comes
+    from the widest array a stage builds: its frontier pairs (see
+    _merge_pairs), not all n_max^2 of them, or its soft-bit distances;
+    each such array, and each tie fallback's sub-chunk, holds at most
+    _LIST_CHUNK_ELEMENTS elements.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[1] != q.total_bits:
@@ -179,16 +184,44 @@ def _candidate_lists(r, q, sig2, n_max):
     if not np.all(np.isfinite(r)):
         raise ValueError("soft bits must be finite")
     T = r.shape[0]
-    K = 1
+    K = widest = 1
     for R in q.rates:
-        K = min(n_max, K * min(n_max, 1 << int(R)))
+        S = min(n_max, 1 << int(R))
+        widest = max(widest, _merge_pairs(K, S, n_max)[0].size, (1 << int(R)) * int(R))
+        K = min(n_max, K * S)
     u = np.empty((T, K, q.M), dtype=np.int64)
     scores = np.empty((T, K))
-    widest = max([n_max * n_max] + [(1 << int(R)) * int(R) for R in q.rates])
     chunk = max(1, _LIST_CHUNK_ELEMENTS // widest)
     for t in range(0, T, chunk):
         u[t:t + chunk], scores[t:t + chunk] = _list_chunk(r[t:t + chunk], q, sig2, n_max)
     return u, scores
+
+
+@functools.lru_cache(maxsize=64)
+def _merge_pairs(P, S, n):
+    """The pairs a listing stage scores when it merges P partial vectors
+    with S stage entries, both best first, into the n best.
+
+    Float addition is monotone, so pair (p, s) scores no higher than
+    the (p+1)(s+1) - 1 other pairs (p', s') with p' <= p and s' <= s,
+    and when it ties one of them whose partial and stage scores equal
+    its own, the lexicographic tie-break ranks that one first.  So when
+    (p+1)(s+1) > n, only a sum that rounds to a tie can lift it into
+    the n best.  Returns (pair_p, pair_s, front_p, front_s): the frontier
+    pairs with (p+1)(s+1) <= n, row by row (at least min(n, P * S) of
+    them), and per row p that has pairs beyond it, its best such pair
+    s = n // (p+1).
+    """
+    p = np.arange(P)
+    width = np.minimum(S, n // (p + 1))
+    start = np.cumsum(width) - width
+    pair_p = np.repeat(p, width)
+    pair_s = np.arange(pair_p.size) - np.repeat(start, width)
+    front_p = np.flatnonzero(width < S)
+    front_s = width[front_p]
+    for a in (pair_p, pair_s, front_p, front_s):
+        a.flags.writeable = False
+    return pair_p, pair_s, front_p, front_s
 
 
 def _list_chunk(r, q, sig2, n_max):
@@ -202,6 +235,16 @@ def _list_chunk(r, q, sig2, n_max):
     The lexicographic order of a new partial is that of (its parent's
     lexicographic rank, its new index), so no sort looks at whole
     vectors.
+
+    A stage ranks only the dominance frontier of its P x S pairs (see
+    _merge_pairs): 280 of 4096 pairs at n_max 64.  A pair beyond it
+    scores no higher than its row's frontier pair, so when every such
+    pair scores below the n_max-th kept score the frontier's list is
+    the full merge's.  Instants where one reaches that score (all-zero
+    soft bits do, and so can sums that round to a tie) are merged again
+    over all P * S pairs, in sub-chunks of at most _LIST_CHUNK_ELEMENTS
+    elements.  Either way the lists are bit for bit those of the full
+    merge.
     """
     C = r.shape[0]
     part_u = np.zeros((C, 1, 0), dtype=np.int64)
@@ -217,16 +260,35 @@ def _list_chunk(r, q, sig2, n_max):
         stage_scores = np.take_along_axis(scores, stage, axis=1)
 
         P, S = part_scores.shape[1], stage.shape[1]
-        new_scores = (part_scores[:, :, None] + stage_scores[:, None, :]).reshape(C, P * S)
-        lex = (part_rank[:, :, None] * codes.shape[0] + stage[:, None, :]).reshape(C, P * S)
+        n_codes = codes.shape[0]
+        pair_p, pair_s, front_p, front_s = _merge_pairs(P, S, n_max)
+        new_scores = part_scores[:, pair_p] + stage_scores[:, pair_s]
+        lex = part_rank[:, pair_p] * n_codes + stage[:, pair_s]
         order = _best_first(-new_scores, lex, n_max)
-        parent = order // S
-        new_u = np.take_along_axis(stage, order % S, axis=1) - q.offsets[m]
+        parent, col = pair_p[order], pair_s[order]
+        if front_p.size:
+            beyond = np.max(part_scores[:, front_p] + stage_scores[:, front_s], axis=1)
+            nth = np.take_along_axis(new_scores, order[:, -1:], axis=1)[:, 0]
+            tied = np.flatnonzero(beyond >= nth)
+            sub = max(1, _LIST_CHUNK_ELEMENTS // (P * S))
+            for i in range(0, tied.size, sub):
+                rows = tied[i:i + sub]
+                full_scores = part_scores[rows, :, None] + stage_scores[rows, None, :]
+                full_lex = part_rank[rows, :, None] * n_codes + stage[rows, None, :]
+                shape = (rows.size, P * S)
+                full = _best_first(-full_scores.reshape(shape), full_lex.reshape(shape), n_max)
+                parent[rows], col[rows] = full // S, full % S
+        picked = np.take_along_axis(stage, col, axis=1)
         part_u = np.concatenate(
-            [np.take_along_axis(part_u, parent[:, :, None], axis=1), new_u[:, :, None]], axis=2
+            [np.take_along_axis(part_u, parent[:, :, None], axis=1),
+             (picked - q.offsets[m])[:, :, None]],
+            axis=2,
         )
-        part_scores = np.take_along_axis(new_scores, order, axis=1)
-        kept = np.take_along_axis(lex, order, axis=1)
+        part_scores = (
+            np.take_along_axis(part_scores, parent, axis=1)
+            + np.take_along_axis(stage_scores, col, axis=1)
+        )
+        kept = np.take_along_axis(part_rank, parent, axis=1) * n_codes + picked
         part_rank = np.argsort(np.argsort(kept, axis=1), axis=1)
     return part_u, part_scores
 

@@ -118,8 +118,22 @@ class ExperimentConfig:
             raise ValueError(f"snr_db values must be finite, got {self.snr_db}")
         if self.contractor not in ("sweep", "lp"):
             raise ValueError(f"contractor must be 'sweep' or 'lp', got {self.contractor!r}")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
         if self.source == "ar1" and not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1) for an ar1 source, got {self.rho}")
+        if self.source == "ar1" and not (math.isfinite(self.clip) and self.clip > 0.0):
+            raise ValueError(
+                f"clip must be finite and positive for an ar1 source, got {self.clip}"
+            )
+        if self.source == "pgm" and not (
+            len(self.pgm_range) == 2
+            and all(math.isfinite(v) for v in self.pgm_range)
+            and self.pgm_range[0] < self.pgm_range[1]
+        ):
+            raise ValueError(
+                f"pgm_range must be two finite values lo < hi, got {self.pgm_range}"
+            )
         for name in ("realizations", "n", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -256,10 +270,16 @@ def _bank_chain(text, origin):
     return bank, poly, parity_from_polyphase(poly)
 
 
-@functools.lru_cache(maxsize=1)
 def _pipeline_for(cfg):
-    """The Pipeline of cfg; the last one built is kept, so a sweep's
-    realizations and its CSV header share one."""
+    """The Pipeline of cfg and of its bank file's current text; the last
+    one built is kept, so a sweep's realizations and its CSV header
+    share one, and a bank file edited in place is read afresh."""
+    return _pipeline_of_source(cfg, _bank_source(cfg.bank))
+
+
+@functools.lru_cache(maxsize=1)
+def _pipeline_of_source(cfg, bank_source):
+    # bank_source, the (text, origin) of cfg.bank, only keys the cache
     return Pipeline(cfg)
 
 

@@ -106,3 +106,12 @@ def test_bad_config_reports_line(tmp_path, capsys):
     assert main(["simulate", "--config", str(f)]) == 1
     err = capsys.readouterr().err
     assert "bad.cfg:1" in err and "bad value for n" in err
+
+
+def test_infinite_delta_reports_the_field(tmp_path, capsys):
+    f = tmp_path / "inf.cfg"
+    f.write_text("n = 160\nrealizations = 1\nsnr_db = 7\ndelta = inf\n")
+    assert main(["sweep", "--config", str(f), "--out", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "delta must be finite and positive, got inf" in err

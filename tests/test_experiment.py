@@ -220,11 +220,31 @@ class TestConfigValidation:
             ("rho", 1.0, r"rho must lie in \[0, 1\) for an ar1 source, got 1.0"),
             ("rho", -0.5, r"rho must lie in \[0, 1\) for an ar1 source, got -0.5"),
             ("snr_db", (7.0, float("nan")), r"snr_db values must be finite, got \(7.0, nan\)"),
+            ("delta", float("inf"), "delta must be finite and positive, got inf"),
+            ("delta", float("nan"), "delta must be finite and positive, got nan"),
+            ("delta", 0.0, "delta must be finite and positive, got 0.0"),
+            ("delta", -0.5, "delta must be finite and positive, got -0.5"),
+            ("clip", float("inf"), "clip must be finite and positive for an ar1 source, got inf"),
+            ("clip", float("nan"), "clip must be finite and positive for an ar1 source, got nan"),
+            ("clip", 0.0, "clip must be finite and positive for an ar1 source, got 0.0"),
         ],
     )
     def test_rejected_on_construction(self, field, value, message):
         with pytest.raises(ValueError, match=rf"^{message}"):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "pgm_range",
+        [(0.0, 128.0, 255.0), (0.0,), (255.0, 0.0), (1.0, 1.0), (0.0, float("inf")),
+         (float("nan"), 255.0)],
+    )
+    def test_bad_pgm_range_rejected(self, pgm_range):
+        with pytest.raises(ValueError, match=r"^pgm_range must be two finite values lo < hi, got"):
+            ExperimentConfig(source="pgm", pgm_range=pgm_range)
+
+    def test_fields_of_the_other_source_are_not_checked(self):
+        ExperimentConfig(source="pgm", clip=float("inf"))
+        ExperimentConfig(source="ar1", pgm_range=(0.0, 1.0, 2.0))
 
     def test_pgm_path_may_be_filled_later(self, tmp_path):
         cfg = ExperimentConfig(**{**SMALL, "source": "pgm", "pgm_range": (0.0, 255.0)})
@@ -255,6 +275,19 @@ class TestBankReuse:
         edited = experiment.Pipeline(cfg)
         assert edited.poly is not first.poly
         assert edited.poly.E[1, 2].tolist() == [0.5, -0.5]
+
+    def test_edited_bank_file_reaches_the_cached_pipeline(self, tmp_path):
+        f = tmp_path / "bank.txt"
+        f.write_text("3 2 1\n1 1\n1 -1\n0.5 0.5 -0.5 -0.5\n")
+        cfg = ExperimentConfig(**{**SMALL, "bank": str(f), "clip": 1.0, "delta": 1.0})
+        before = simulate_point(cfg)["diagnostics"]
+        assert experiment._pipeline_for(cfg).poly.E[1, 2].tolist() == [-0.5, -0.5]
+        f.write_text("3 2 1\n1 1\n1 -1\n0.5 -0.5 0.5 -0.5\n")
+        after = simulate_point(cfg)["diagnostics"]
+        assert experiment._pipeline_for(cfg).poly.E[1, 2].tolist() == [0.5, -0.5]
+        fresh = experiment.Pipeline(cfg)
+        assert experiment._pipeline_for(cfg).poly is fresh.poly
+        assert not np.array_equal(after.x_lo, before.x_lo)
 
 
 class TestSimulatePoint:
