@@ -43,7 +43,7 @@ def _cmd_bank_check(args):
     else:
         print(f"consistency: {cert.bases} bases of {subsets} row subsets, "
               f"{cert.circuits} circuits, distinct certificates per coordinate "
-              f"{', '.join(str(k) for k in cert.per_coordinate)}")
+              f"{', '.join(str(k) for k in cert.per_coordinate)}; exact hull, no sweep")
     print("ok")
     return 0
 

@@ -12,9 +12,9 @@ The consistency test (2) bounds the polytope of admissible current
 input blocks, {x in input box : E_0 x in cells - history reach}.  On
 banks small enough to enumerate (see Polyphase.consistency_certificates)
 LP-dual certificates cached per bank give its exact box hull and
-Farkas circuits prove it empty; larger banks intersect the input box
-with a pinv prefilter instead.  A forward-backward affine contractor
-then runs on either result.
+Farkas circuits prove it empty, and that hull is the result.  Only
+larger banks intersect the input box with a pinv prefilter and then
+run a forward-backward affine contractor on it.
 
 Decoding runs in lockstep: B independent streams advance one instant at
 a time together, their histories held as arrays of shape (B, L, N) and
@@ -83,20 +83,27 @@ _MAX_SWEEPS = 50
 # 2^R * R soft-bit distances of an R-bit subband; a tie fallback merges
 # at most this many of its full P * S pairs at once
 _LIST_CHUNK_ELEMENTS = 2**15
+# smallest accepted config values; the bank-dependent window floor,
+# 2*(L+1), is checked by synthesize_ls and when a Pipeline is built
+_CONFIG_FLOORS = {"n_max": 1, "window": 2}
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
     n_max: int = 20
     use_pct: bool = True
-    contractor: str = "sweep"  # "sweep" (forward-backward) or "lp" (exact hull)
+    contractor: str = "sweep"  # "sweep" (the default backend) or "lp" (scipy LP hull)
     window: int = 8  # synthesis window for the final point estimate
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        for name, floor in _CONFIG_FLOORS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < floor:
+                raise ValueError(f"{name} must be at least {floor}")
         if self.contractor not in ("sweep", "lp"):
-            raise ValueError("contractor must be 'sweep' or 'lp'")
+            raise ValueError(f"contractor must be 'sweep' or 'lp', got {self.contractor!r}")
 
 
 @dataclass(frozen=True)
@@ -351,19 +358,18 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
     K candidates.  Returns (lo, hi, empty): (B, K, N) endpoint arrays
     and the (B, K) mask of candidates proven inconsistent.
 
-    The sweep backend first bounds the polytope
+    The default backend bounds the polytope
     {x : x in input box, E_0 x in [c]}, [c] being the cells minus the
-    history reach.  When the bank has consistency certificates, their
-    two matrix products give its exact box hull, and its circuits prove
-    EMPTY exactly the candidates no input reaches (rows proven EMPTY
-    become points, on which the sweep stalls at once).  Otherwise, when
-    E_0 has full column rank, the prior is intersected with the
-    left-inverse image E_0^+ [c]: any feasible x satisfies
+    history reach.  On banks under HULL_SUBSET_CAP the consistency
+    certificates' two matrix products give its exact box hull, and
+    their circuits prove EMPTY exactly the candidates no input reaches;
+    no contractor can tighten that hull, so it is the result.  Banks
+    above the cap intersect the prior, when E_0 has full column rank,
+    with the left-inverse image E_0^+ [c]: any feasible x satisfies
     x = E_0^+ (E_0 x) with E_0 x in [c], so the interval image is a
-    sound outer enclosure; without it the forward-backward sweeps alone
-    cannot contract banks whose E_0 rows mix all input components
-    (their fixpoint is the prior itself).  The sweeps then run on the
-    result in every case.
+    sound outer enclosure; without it the forward-backward sweeps that
+    then run cannot contract banks whose E_0 rows mix all input
+    components (their fixpoint is the prior itself).
     """
     B, K, M = cell_lo.shape
     N = poly.N
@@ -388,27 +394,23 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
     if certificates is not None:
         l = np.concatenate([np.broadcast_to(input_box.lo, (B, K, N)), c_lo], axis=2)
         u = np.concatenate([np.broadcast_to(input_box.hi, (B, K, N)), c_hi], axis=2)
-        lo, hi, empty = _certificate_hull(certificates, l, u)
-        # rows proven EMPTY become points, on which the sweep stalls at once
-        lo = np.where(empty[..., None], 0.5 * (lo + hi), lo)
-        hi = np.where(empty[..., None], lo, hi)
-    else:
-        lo = np.broadcast_to(input_box.lo, (B, K, N)).copy()
-        hi = np.broadcast_to(input_box.hi, (B, K, N)).copy()
-        empty = np.zeros((B, K), dtype=bool)
-        if poly.e0_has_full_rank:
-            W = poly.left_inverse()
-            px_c = 0.5 * (c_lo + c_hi) @ W.T
-            px_r = 0.5 * (c_hi - c_lo) @ np.abs(W).T
-            lo = np.maximum(lo, px_c - px_r)
-            hi = np.minimum(hi, px_c + px_r)
-            gap = lo - hi
-            eps = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
-            empty |= np.any(gap > eps, axis=2)
-            mid = 0.5 * (lo + hi)
-            touch = gap > 0.0
-            lo = np.where(touch, mid, lo)
-            hi = np.where(touch, mid, hi)
+        return _certificate_hull(certificates, l, u)
+    lo = np.broadcast_to(input_box.lo, (B, K, N)).copy()
+    hi = np.broadcast_to(input_box.hi, (B, K, N)).copy()
+    empty = np.zeros((B, K), dtype=bool)
+    if poly.e0_has_full_rank:
+        W = poly.left_inverse()
+        px_c = 0.5 * (c_lo + c_hi) @ W.T
+        px_r = 0.5 * (c_hi - c_lo) @ np.abs(W).T
+        lo = np.maximum(lo, px_c - px_r)
+        hi = np.minimum(hi, px_c + px_r)
+        gap = lo - hi
+        eps = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
+        empty |= np.any(gap > eps, axis=2)
+        mid = 0.5 * (lo + hi)
+        touch = gap > 0.0
+        lo = np.where(touch, mid, lo)
+        hi = np.where(touch, mid, hi)
     # one contractor group of K rows per stream, so each stream stops at
     # its own stall test
     empty |= _contract_affine_batch(
@@ -422,9 +424,9 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
 def consistency_box(u, state, poly, q, cfg=None):
     """Contracted box of input blocks that can produce subband values in
     the cells of index vector u, given the decoded history; EMPTY when
-    the candidate is proven inconsistent.  On a bank with consistency
-    certificates (and with the lp contractor) this is the exact box
-    hull of those inputs; see _consistency_batch."""
+    the candidate is proven inconsistent: the exact box hull of those
+    inputs on a bank under the cap (or with the lp contractor), the pinv
+    prefilter and sweep above it; see _consistency_batch."""
     cfg = cfg if cfg is not None else DecoderConfig()
     cell_lo, cell_hi = q.cell_bounds(np.asarray(u, dtype=np.int64).reshape(1, 1, -1))
     lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly, cfg)
@@ -590,6 +592,10 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
     decode_sequence(rs[s], ..., channels[s], cfgs[v], x_range).
     """
     cfgs = list(cfgs)
+    if len(rs) == 0:
+        raise ValueError("decode_streams needs at least one stream")
+    if not cfgs:
+        raise ValueError("decode_streams needs at least one decoder config")
     base = cfgs[0]
     if any(replace(c, use_pct=base.use_pct, window=base.window) != base for c in cfgs):
         raise ValueError("lockstep decoders must share n_max and the contractor settings")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .decoder import DecoderConfig, decode_classical, decode_sequence, decode_streams
+from .decoder import _CONFIG_FLOORS, DecoderConfig, decode_classical, decode_sequence, decode_streams
 from .filterbank import (
     _bank_source,
     _parse_bank_text,
@@ -77,11 +77,6 @@ def reconstruction_snr(x, x_hat, skip):
     return min(SNR_CAP_DB, 10.0 * math.log10(p_sig / p_err))
 
 
-# smallest accepted values; the bank-dependent window floor, 2*(L+1),
-# is checked when the Pipeline is built
-_CONFIG_FLOORS = {"n_max": 1, "window": 2}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     source: str = "ar1"  # "ar1" or "pgm"
@@ -116,8 +111,6 @@ class ExperimentConfig:
             raise ValueError("snr_db list is empty")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ValueError(f"snr_db values must be finite, got {self.snr_db}")
-        if self.contractor not in ("sweep", "lp"):
-            raise ValueError(f"contractor must be 'sweep' or 'lp', got {self.contractor!r}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta must be finite and positive, got {self.delta}")
         if self.source == "ar1" and not 0.0 <= self.rho < 1.0:
@@ -137,9 +130,8 @@ class ExperimentConfig:
         for name in ("realizations", "n", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name, floor in _CONFIG_FLOORS.items():
-            if getattr(self, name) < floor:
-                raise ValueError(f"{name} must be at least {floor}")
+        # n_max, window and contractor are checked by the decoder config
+        _decoder_config(self, self.use_pct)
 
 
 _CONFIG_PARSERS = {

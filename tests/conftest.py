@@ -85,6 +85,19 @@ def exhaustive_candidates(r, q, ch):
     return u_all[order], scores[order]
 
 
+def noisy_streams(pipe, n, snrs, seed):
+    """Soft bits of one source realization through channels at several
+    SNRs: (channels, received streams)."""
+    rng = np.random.default_rng(seed)
+    N, L = pipe.poly.N, pipe.poly.L
+    lo, hi = pipe.x_range.lo, pipe.x_range.hi
+    x = np.concatenate([np.zeros(N * L), np.clip(rng.normal(0.0, 0.6 * hi, size=n), lo, hi)])
+    _, _, bits = pipe.encode(x)
+    channels = [ChannelModel(snr, seed=seed) for snr in snrs]
+    rs = [ch.transmit(bits, ch.stream(j)) for j, ch in enumerate(channels)]
+    return channels, rs
+
+
 def one_stream_state(input_box, x_hist=(), y_hist=()):
     """A one-stream DecoderState whose history holds the given boxes,
     most recent first."""

@@ -1,10 +1,13 @@
 """Candidate listing, consistency and parity tests, and the decoders."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import (
     exhaustive_candidates,
     listed_one_instant,
+    noisy_streams,
     one_stream_state,
     sample_feasible_indexes,
 )
@@ -407,18 +410,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="contractor"):
             DecoderConfig(contractor="newton")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_max", 2.5), ("window", 8.5), ("n_max", np.float64(20.0)), ("window", "8"),
+         ("n_max", True)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DecoderConfig(**{field: value})
 
-def noisy_streams(pipe, n, snrs, seed):
-    """Soft bits of one source realization through channels at several
-    SNRs: (channels, received streams)."""
-    rng = np.random.default_rng(seed)
-    N, L = pipe.poly.N, pipe.poly.L
-    lo, hi = pipe.x_range.lo, pipe.x_range.hi
-    x = np.concatenate([np.zeros(N * L), np.clip(rng.normal(0.0, 0.6 * hi, size=n), lo, hi)])
-    _, _, bits = pipe.encode(x)
-    channels = [ChannelModel(snr, seed=seed) for snr in snrs]
-    rs = [ch.transmit(bits, ch.stream(j)) for j, ch in enumerate(channels)]
-    return channels, rs
+    def test_window_floor(self):
+        with pytest.raises(ValueError, match="^window must be at least 2$"):
+            DecoderConfig(window=1)
 
 
 class TestCandidateLists:
@@ -525,6 +529,19 @@ class TestLockstep:
         cfgs = [DecoderConfig(n_max=4, use_pct=True, contractor="lp"),
                 DecoderConfig(n_max=4, use_pct=False, contractor="lp")]
         self._check(tiny_pipe, 24, (2.0, 9.0), cfgs, seed=3)
+
+    def test_no_streams_rejected(self, tiny_pipe):
+        p = tiny_pipe
+        with pytest.raises(ValueError, match="^decode_streams needs at least one stream$"):
+            decode_streams([], p.poly, p.parity, p.q, [], [DecoderConfig()], p.x_range)
+
+    def test_no_configs_rejected(self, tiny_pipe):
+        p = tiny_pipe
+        channels, rs = noisy_streams(p, 20, (5.0,), seed=1)
+        with pytest.raises(ValueError, match="^decode_streams needs at least one decoder config$"):
+            decode_streams(rs, p.poly, p.parity, p.q, channels, [], p.x_range)
+        with pytest.raises(ValueError, match="^decode_streams needs at least one decoder config$"):
+            decode_streams(rs, p.poly, p.parity, p.q, channels, iter(()), p.x_range)
 
     def test_configs_must_share_list_and_contractor(self, tiny_pipe):
         p = tiny_pipe

@@ -227,6 +227,8 @@ class TestConfigValidation:
             ("clip", float("inf"), "clip must be finite and positive for an ar1 source, got inf"),
             ("clip", float("nan"), "clip must be finite and positive for an ar1 source, got nan"),
             ("clip", 0.0, "clip must be finite and positive for an ar1 source, got 0.0"),
+            ("n_max", 2.5, "n_max must be an integer, got 2.5"),
+            ("window", 8.5, "window must be an integer, got 8.5"),
         ],
     )
     def test_rejected_on_construction(self, field, value, message):
@@ -241,6 +243,12 @@ class TestConfigValidation:
     def test_bad_pgm_range_rejected(self, pgm_range):
         with pytest.raises(ValueError, match=r"^pgm_range must be two finite values lo < hi, got"):
             ExperimentConfig(source="pgm", pgm_range=pgm_range)
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = {"n_max": np.int64(4), "window": np.int64(8)}
+        got = simulate_point(ExperimentConfig(**SMALL, **counts))
+        want = simulate_point(ExperimentConfig(**{**SMALL, "n_max": 4}))
+        assert (got["proposed"], got["classical"]) == (want["proposed"], want["classical"])
 
     def test_fields_of_the_other_source_are_not_checked(self):
         ExperimentConfig(source="pgm", clip=float("inf"))

@@ -6,18 +6,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import one_stream_state
+from conftest import BankPipeline, noisy_streams, one_stream_state
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ofbdec import (
     Box,
+    ChannelModel,
     DecoderConfig,
+    DecoderState,
+    Interval,
     Polyphase,
     consistency_box,
+    decode_sequence,
     load_filter_bank,
     polyphase_from_filters,
+    step,
+    top_candidates,
 )
+from ofbdec import decoder
 from ofbdec.decoder import _consistency_batch, _history_reach
 from ofbdec.interval import HullCertificates, _certificate_hull, box_hull_lp
 
@@ -166,8 +173,104 @@ def test_certificate_box_is_the_lp_hull(poly, seed):
 
 @PROPERTY
 @given(poly=small_banks(), seed=st.integers(0, 2**32 - 1))
-def test_consistency_after_the_sweep_is_the_lp_hull(poly, seed):
+def test_consistency_is_the_lp_hull(poly, seed):
     state, cell_lo, cell_hi = instance(poly, seed)
     hulls, _, _ = lp_hulls(poly, state, cell_lo, cell_hi)
     lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly, DecoderConfig())
     assert_equals_hull(lo[0], hi[0], empty[0], hulls)
+
+
+# -- which banks run the sweep, and the hull on decoded streams -------------
+
+
+class TestDispatch:
+    """Banks under the cap take the certificate hull alone; only banks
+    above it run the pinv prefilter and the forward-backward sweep."""
+
+    @pytest.mark.parametrize("bank", ["tiny_pipe", "default_pipe"])
+    def test_no_sweep_under_the_cap(self, bank, request, monkeypatch):
+        p = request.getfixturevalue(bank)
+
+        def no_sweep(*args):
+            raise AssertionError("forward-backward sweep ran")
+
+        monkeypatch.setattr(decoder, "_contract_affine_batch", no_sweep)
+        channels, rs = noisy_streams(p, 40 * p.poly.N, (7.0,), seed=3)
+        x_hat, diag = decode_sequence(
+            rs[0], p.poly, p.parity, p.q, channels[0], DecoderConfig(), p.x_range
+        )
+        assert x_hat.shape == (rs[0].shape[0] * p.poly.N,)
+        assert np.all(diag.n_consistent > 0)
+
+    def test_wide_bank_runs_the_sweep(self, monkeypatch):
+        p = BankPipeline(load_filter_bank(DATA / "walsh_12x8.txt"), Interval(-4.0, 4.0), 0.72)
+        calls = []
+        original = decoder._contract_affine_batch
+
+        def counted(*args):
+            calls.append(args[1].shape[0])
+            return original(*args)
+
+        monkeypatch.setattr(decoder, "_contract_affine_batch", counted)
+        channels, rs = noisy_streams(p, 10 * p.poly.N, (7.0,), seed=3)
+        cfg = DecoderConfig(n_max=8)
+        decode_sequence(rs[0], p.poly, p.parity, p.q, channels[0], cfg, p.x_range)
+        # one call per instant, over that instant's 8 candidates
+        assert calls == [8] * rs[0].shape[0]
+
+
+def test_consistency_on_a_decoded_stream_is_the_lp_hull(default_pipe):
+    """On the bundled bank, every listed candidate of a 7 dB stream,
+    given the history the decoder built: the LP hull within 1e-9 and
+    the same EMPTY verdicts."""
+    p = default_pipe
+    cfg = DecoderConfig()
+    channels, rs = noisy_streams(p, 30 * p.poly.N, (7.0,), seed=17)
+    ch, r = channels[0], rs[0]
+    input_box = Box.uniform(p.x_range.lo, p.x_range.hi, p.poly.N)
+    state = DecoderState.initial(input_box, p.poly, p.parity)
+    verdicts = []
+    for i in range(r.shape[0]):
+        u = np.stack([c.u for c in top_candidates(r[i], p.q, ch, cfg.n_max)])[None]
+        cell_lo, cell_hi = p.q.cell_bounds(u)
+        lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, p.poly, cfg)
+        hulls, _, _ = lp_hulls(p.poly, state, cell_lo, cell_hi)
+        assert_equals_hull(lo[0], hi[0], empty[0], hulls)
+        verdicts.extend(empty[0].tolist())
+        step(r[i], state, p.poly, p.parity, p.q, ch, cfg)
+    assert len(verdicts) == r.shape[0] * cfg.n_max
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def assert_sent_blocks_contained(pipe, n_blocks, seed):
+    """Decode a noiseless stream through step: every instant picks the
+    sent index vector, and its box contains the sent input block."""
+    rng = np.random.default_rng(seed)
+    N, L = pipe.poly.N, pipe.poly.L
+    lo, hi = pipe.x_range.lo, pipe.x_range.hi
+    x = np.concatenate([np.zeros(N * L), rng.uniform(lo, hi, n_blocks * N)])
+    _, u, bits = pipe.encode(x)
+    ch = ChannelModel(7.0, noiseless=True)
+    r = ch.transmit(bits, ch.stream(0))
+    cfg = DecoderConfig()
+    state = DecoderState.initial(Box.uniform(lo, hi, N), pipe.poly, pipe.parity)
+    for i, block in enumerate(x.reshape(-1, N)):
+        res = step(r[i], state, pipe.poly, pipe.parity, pipe.q, ch, cfg)
+        assert np.array_equal(res.u_hat, u[i])
+        assert res.x_box.contains(block, tol=1e-9), f"instant {i}: box misses the sent block"
+
+
+def test_a_hull_that_misses_the_signal_is_caught(default_pipe, monkeypatch):
+    """The containment check above passes on the real certificate step
+    and fails when it returns each box's lower corner: a seam that a
+    soundness oracle can break."""
+    assert_sent_blocks_contained(default_pipe, 40, seed=21)
+    original = decoder._certificate_hull
+
+    def lower_corner(cert, l, u):
+        lo, hi, empty = original(cert, l, u)
+        return lo, lo.copy(), empty
+
+    monkeypatch.setattr(decoder, "_certificate_hull", lower_corner)
+    with pytest.raises(AssertionError, match="instant 0: box misses the sent block"):
+        assert_sent_blocks_contained(default_pipe, 40, seed=21)
