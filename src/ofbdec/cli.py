@@ -36,8 +36,8 @@ def _cmd_bank_check(args):
     print(f"parity row orthonormality residual = {gram_err:.3e}")
     cert = poly.consistency_certificates()
     subsets = math.comb(bank.N + bank.M, bank.N)
-    if cert is None:
-        prefilter = "pinv prefilter and " if poly.e0_has_full_rank else ""
+    if not cert.exact:
+        prefilter = "pinv prefilter and " if max(cert.per_coordinate) > 1 else ""
         print(f"consistency: {subsets} row subsets exceed the cap of {HULL_SUBSET_CAP}; "
               f"{prefilter}forward-backward sweep")
     else:

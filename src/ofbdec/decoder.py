@@ -9,12 +9,11 @@ candidates to be compatible with the parity bank, and (4) returns the
 first survivor in likelihood order together with its signal box.
 
 The consistency test (2) bounds the polytope of admissible current
-input blocks, {x in input box : E_0 x in cells - history reach}.  On
-banks small enough to enumerate (see Polyphase.consistency_certificates)
-LP-dual certificates cached per bank give its exact box hull and
-Farkas circuits prove it empty, and that hull is the result.  Only
-larger banks intersect the input box with a pinv prefilter and then
-run a forward-backward affine contractor on it.
+input blocks, {x in input box : E_0 x in cells - history reach}, with
+LP-dual certificates cached per bank (Polyphase.consistency_certificates):
+on banks small enough to enumerate they give its exact box hull, the
+result, and Farkas circuits prove it empty; larger banks get a capped
+set, whose box a forward-backward affine contractor then narrows.
 
 Decoding runs in lockstep: B independent streams advance one instant at
 a time together, their histories held as arrays of shape (B, L, N) and
@@ -88,6 +87,12 @@ _LIST_CHUNK_ELEMENTS = 2**15
 _CONFIG_FLOORS = {"n_max": 1, "window": 2}
 
 
+def _check_integer(name, value):
+    """Reject a config value that is not an integer (or numpy integer)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     n_max: int = 20
@@ -98,8 +103,7 @@ class DecoderConfig:
     def __post_init__(self):
         for name, floor in _CONFIG_FLOORS.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, value)
             if value < floor:
                 raise ValueError(f"{name} must be at least {floor}")
         if self.contractor not in ("sweep", "lp"):
@@ -360,16 +364,12 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
 
     The default backend bounds the polytope
     {x : x in input box, E_0 x in [c]}, [c] being the cells minus the
-    history reach.  On banks under HULL_SUBSET_CAP the consistency
-    certificates' two matrix products give its exact box hull, and
-    their circuits prove EMPTY exactly the candidates no input reaches;
-    no contractor can tighten that hull, so it is the result.  Banks
-    above the cap intersect the prior, when E_0 has full column rank,
-    with the left-inverse image E_0^+ [c]: any feasible x satisfies
-    x = E_0^+ (E_0 x) with E_0 x in [c], so the interval image is a
-    sound outer enclosure; without it the forward-backward sweeps that
-    then run cannot contract banks whose E_0 rows mix all input
-    components (their fixpoint is the prior itself).
+    history reach, by one step over the bank's consistency certificates:
+    two matrix products.  On banks under HULL_SUBSET_CAP the set is
+    exact: its box is the polytope's hull, its circuits prove EMPTY
+    exactly the candidates no input reaches, and no contractor can
+    tighten that, so it is the result.  Above the cap the capped set's
+    box, an outer enclosure, is then narrowed by forward-backward sweeps.
     """
     B, K, M = cell_lo.shape
     N = poly.N
@@ -390,34 +390,18 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
                     lo[b, k] = box.lo
                     hi[b, k] = box.hi
         return lo, hi, empty
-    certificates = poly.consistency_certificates()
-    if certificates is not None:
-        l = np.concatenate([np.broadcast_to(input_box.lo, (B, K, N)), c_lo], axis=2)
-        u = np.concatenate([np.broadcast_to(input_box.hi, (B, K, N)), c_hi], axis=2)
-        return _certificate_hull(certificates, l, u)
-    lo = np.broadcast_to(input_box.lo, (B, K, N)).copy()
-    hi = np.broadcast_to(input_box.hi, (B, K, N)).copy()
-    empty = np.zeros((B, K), dtype=bool)
-    if poly.e0_has_full_rank:
-        W = poly.left_inverse()
-        px_c = 0.5 * (c_lo + c_hi) @ W.T
-        px_r = 0.5 * (c_hi - c_lo) @ np.abs(W).T
-        lo = np.maximum(lo, px_c - px_r)
-        hi = np.minimum(hi, px_c + px_r)
-        gap = lo - hi
-        eps = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
-        empty |= np.any(gap > eps, axis=2)
-        mid = 0.5 * (lo + hi)
-        touch = gap > 0.0
-        lo = np.where(touch, mid, lo)
-        hi = np.where(touch, mid, hi)
-    # one contractor group of K rows per stream, so each stream stops at
-    # its own stall test
-    empty |= _contract_affine_batch(
-        poly.E[0], lo.reshape(B * K, N), hi.reshape(B * K, N),
-        c_lo.reshape(B * K, M), c_hi.reshape(B * K, M),
-        _SWEEP_TOL, _MAX_SWEEPS, K,
-    ).reshape(B, K)
+    cert = poly.consistency_certificates()
+    l = np.concatenate([np.broadcast_to(input_box.lo, (B, K, N)), c_lo], axis=2)
+    u = np.concatenate([np.broadcast_to(input_box.hi, (B, K, N)), c_hi], axis=2)
+    lo, hi, empty = _certificate_hull(cert, l, u)
+    if not cert.exact:
+        # one contractor group of K rows per stream, so each stream stops
+        # at its own stall test
+        empty |= _contract_affine_batch(
+            poly.E[0], lo.reshape(B * K, N), hi.reshape(B * K, N),
+            c_lo.reshape(B * K, M), c_hi.reshape(B * K, M),
+            _SWEEP_TOL, _MAX_SWEEPS, K,
+        ).reshape(B, K)
     return lo, hi, empty
 
 
@@ -425,8 +409,8 @@ def consistency_box(u, state, poly, q, cfg=None):
     """Contracted box of input blocks that can produce subband values in
     the cells of index vector u, given the decoded history; EMPTY when
     the candidate is proven inconsistent: the exact box hull of those
-    inputs on a bank under the cap (or with the lp contractor), the pinv
-    prefilter and sweep above it; see _consistency_batch."""
+    inputs on a bank under the cap (or with the lp contractor), the
+    capped set's box and the sweep above it; see _consistency_batch."""
     cfg = cfg if cfg is not None else DecoderConfig()
     cell_lo, cell_hi = q.cell_bounds(np.asarray(u, dtype=np.int64).reshape(1, 1, -1))
     lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly, cfg)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .decoder import _CONFIG_FLOORS, DecoderConfig, decode_classical, decode_sequence, decode_streams
+from .decoder import _CONFIG_FLOORS, DecoderConfig, _check_integer
+from .decoder import decode_classical, decode_sequence, decode_streams
 from .filterbank import (
     _bank_source,
     _parse_bank_text,
@@ -127,9 +128,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"pgm_range must be two finite values lo < hi, got {self.pgm_range}"
             )
-        for name in ("realizations", "n", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, floor in (("realizations", 1), ("n", 1), ("workers", 1), ("seed", 0)):
+            value = getattr(self, name)
+            _check_integer(name, value)
+            if value < floor:
+                what = "positive" if floor else "non-negative"
+                raise ValueError(f"{name} must be {what}, got {value}")
         # n_max, window and contractor are checked by the decoder config
         _decoder_config(self, self.use_pct)
 
@@ -221,6 +225,8 @@ class Pipeline:
             raise ValueError(
                 f"window = {cfg.window} is below this bank's floor of {2 * (self.poly.L + 1)}"
             )
+        if cfg.n % self.poly.N:
+            raise ValueError(f"n = {cfg.n} is not a multiple of this bank's N = {self.poly.N}")
         if cfg.source == "ar1":
             self.x_range = Interval(-cfg.clip, cfg.clip)
         else:

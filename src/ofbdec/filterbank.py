@@ -34,11 +34,10 @@ __all__ = [
 ]
 
 FRAME_SIGMA_MIN = 1e-8
-# banks whose [I_N; E_0] has more N-row subsets than this are not
-# enumerated for consistency certificates (10 on the tiny 3x2 bank, 210
-# on the bundled 6x4 bank, 125,970 on a 12x8 bank)
+# banks whose [I_N; E_0] has more N-row subsets than this get a capped
+# certificate set, not the enumeration (10 on the tiny 3x2 bank, 210 on
+# the bundled 6x4 bank, 125,970 on a 12x8 bank)
 HULL_SUBSET_CAP = 4096
-_NOT_BUILT = object()
 _DEFAULT_BANK_RESOURCE = "haar_6x4.txt"
 
 
@@ -95,36 +94,37 @@ class Polyphase:
         self.M = E.shape[1]
         self.N = E.shape[2]
         self._pinv0 = None
-        self._e0_full_rank = None
-        self._certificates = _NOT_BUILT
+        self._certificates = None
         self._frame_sigma = {}  # n_blocks -> smallest frame singular value
         self._synthesis_rows = {}  # (back, fwd, hist) -> emitted rows of the window pinv
 
     def left_inverse(self):
         """Cached pseudo-inverse of E_0.  A left inverse proper (W E_0 = I)
-        exactly when E_0 has full column rank; see e0_has_full_rank."""
+        exactly when E_0 has full column rank."""
         if self._pinv0 is None:
             self._pinv0 = np.linalg.pinv(self.E[0], rcond=1e-12)
-            s = np.linalg.svd(self.E[0], compute_uv=False)
-            self._e0_full_rank = bool(s[-1] > 1e-10 * s[0])
         return self._pinv0
-
-    @property
-    def e0_has_full_rank(self):
-        if self._e0_full_rank is None:
-            self.left_inverse()
-        return self._e0_full_rank
 
     def consistency_certificates(self):
         """Cached HullCertificates of A = [I_N; E_0], the constraint
         matrix of one instant's consistency test (input box rows, then
-        subband rows), or None when A has more than
-        HULL_SUBSET_CAP N-row subsets to enumerate."""
-        if self._certificates is _NOT_BUILT:
-            if math.comb(self.N + self.M, self.N) > HULL_SUBSET_CAP:
-                self._certificates = None
+        subband rows): enumerated, and exact, when A has at most
+        HULL_SUBSET_CAP N-row subsets; else a capped set without circuits
+        holding per coordinate k the input-box row e_k and, when E_0 has
+        full column rank, (0, row k of pinv(E_0)).  The capped set's box
+        is the input box intersected with the interval image
+        pinv(E_0) [c] of the subband offsets."""
+        if self._certificates is None:
+            N, M = self.N, self.M
+            A = np.vstack([np.eye(N), self.E[0]])
+            if math.comb(N + M, N) <= HULL_SUBSET_CAP:
+                self._certificates = HullCertificates(A)
             else:
-                self._certificates = HullCertificates(np.vstack([np.eye(self.N), self.E[0]]))
+                rows = [np.eye(N, N + M)]
+                s = np.linalg.svd(self.E[0], compute_uv=False)
+                if s[-1] > 1e-10 * s[0]:
+                    rows.append(np.hstack([np.zeros((N, N)), self.left_inverse()]))
+                self._certificates = HullCertificates(A, np.stack(rows, axis=1))
         return self._certificates
 
     def stacked_oldest_first(self):

@@ -1,5 +1,5 @@
 """Closed intervals, boxes, an affine-constraint contractor, and the
-LP-dual certificates of an exact box hull.
+LP-dual certificates that bound a box hull.
 
 The decoder needs three guarantees from this module: interval evaluation
 of affine maps never under-covers the true range, boxes returned by the
@@ -290,53 +290,60 @@ def _contract_affine_batch(A, lo, hi, c_lo, c_hi, tol, max_sweeps, group=None):
 
 
 class HullCertificates:
-    """LP-dual data that give the exact box hull of
+    """LP-dual data that bound the box hull of
     P = {x : l <= A x <= u} for any offsets l <= u, computed once per A
-    (a (rows, n) matrix of full column rank) by enumerating its n-row
-    bases.
+    (a (rows, n) matrix of full column rank).
 
     With c, r the centre and radius of [l, u]:
 
-    * every certificate z of coordinate k (A^T z = e_k, supported on a
-      basis S, z_S = A_S^{-T} e_k) bounds x_k over P by weak duality:
-      c.z - r.|z| <= x_k <= c.z + r.|z|, and when P is not empty the
-      best certificate attains each bound (an optimal LP basis);
+    * every certificate z of coordinate k (A^T z = e_k) bounds x_k over
+      P by weak duality: c.z - r.|z| <= x_k <= c.z + r.|z|;
     * every circuit y (the null vector of A^T supported on a minimal
       dependent row set) proves P empty when c.y + r.|y| < 0 or
-      c.y - r.|y| > 0 (Farkas), and when P is empty some circuit does.
+      c.y - r.|y| > 0 (Farkas).
+
+    By default they come from enumerating A's n-row bases (basis S gives
+    z_S = A_S^{-T} e_k) and the set is `exact`: when P is not empty the
+    best certificate attains each bound (an optimal LP basis), and when
+    P is empty some circuit proves it.  Given `certificates`, an
+    (n, k, rows) array of k per coordinate, the set holds those alone,
+    with no bases and no circuits, and bounds P from outside only.
 
     G holds the circuits (unit 1-norm) in its first `circuits` columns,
     then the distinct certificates of coordinate 0, 1, ..., n-1, those
     of coordinate k starting at column circuits + starts[k].  `slack`
     bounds the 1-norm residual of A^T over every column, so rounding in
-    the enumeration is charged to the margins.
+    the enumeration, or in given certificates, is charged to the margins.
     """
 
-    __slots__ = ("bases", "circuits", "per_coordinate", "starts", "G", "G_abs", "slack")
+    __slots__ = ("bases", "circuits", "per_coordinate", "starts", "G", "G_abs", "slack", "exact")
 
-    def __init__(self, A):
+    def __init__(self, A, certificates=None):
         A = np.asarray(A, dtype=float)
         rows, n = A.shape
-        subsets = np.array(list(itertools.combinations(range(rows), n)), dtype=np.int64)
-        A_S = A[subsets]
-        s = np.linalg.svd(A_S, compute_uv=False)
-        basis = subsets[s[:, -1] > _BASIS_RCOND * s[:, 0]]
-        if not basis.size:
-            raise ValueError("matrix has no nonsingular basis: its columns are dependent")
-        inv = np.linalg.inv(A[basis])  # (b, n, n)
-        b = basis.shape[0]
-        at = np.arange(b)[:, None, None]
-        # certificate of coordinate k from basis S: z_S = row k of A_S^{-1}
-        Z = np.zeros((b, n, rows))
-        Z[at, np.arange(n)[None, :, None], basis[:, None, :]] = inv
-        # fundamental circuit of row e outside S: y_e = 1, y_S = -a_e A_S^{-1}
-        Y = np.zeros((b, rows, rows))
-        Y[at, np.arange(rows)[None, :, None], basis[:, None, :]] = -(A @ inv)
-        Y[:, np.arange(rows), np.arange(rows)] += 1.0
-        Y[np.arange(b)[:, None], basis] = 0.0  # rows of S have no circuit
-        per_k = [_distinct_supports(_snap(Z[:, k])) for k in range(n)]
-        Yd = _distinct_supports(_snap(Y.reshape(b * rows, rows)))
-        Yd = Yd / np.sum(np.abs(Yd), axis=1, keepdims=True)
+        self.exact = certificates is None
+        if self.exact:
+            subsets = np.array(list(itertools.combinations(range(rows), n)), dtype=np.int64)
+            s = np.linalg.svd(A[subsets], compute_uv=False)
+            basis = subsets[s[:, -1] > _BASIS_RCOND * s[:, 0]]
+            if not basis.size:
+                raise ValueError("matrix has no nonsingular basis: its columns are dependent")
+            inv = np.linalg.inv(A[basis])  # (b, n, n)
+            b = basis.shape[0]
+            at = np.arange(b)[:, None, None]
+            # certificate of coordinate k from basis S: z_S = row k of A_S^{-1}
+            Z = np.zeros((b, n, rows))
+            Z[at, np.arange(n)[None, :, None], basis[:, None, :]] = inv
+            # fundamental circuit of row e outside S: y_e = 1, y_S = -a_e A_S^{-1}
+            Y = np.zeros((b, rows, rows))
+            Y[at, np.arange(rows)[None, :, None], basis[:, None, :]] = -(A @ inv)
+            Y[:, np.arange(rows), np.arange(rows)] += 1.0
+            Y[np.arange(b)[:, None], basis] = 0.0  # rows of S have no circuit
+            per_k = [_distinct_supports(_snap(Z[:, k])) for k in range(n)]
+            Yd = _distinct_supports(_snap(Y.reshape(b * rows, rows)))
+            Yd = Yd / np.sum(np.abs(Yd), axis=1, keepdims=True)
+        else:
+            b, Yd, per_k = 0, np.zeros((0, rows)), list(certificates)
         G = np.concatenate([Yd] + per_k).T
         target = np.concatenate([np.zeros((Yd.shape[0], n))] + [
             np.broadcast_to(np.eye(n)[k], (z.shape[0], n)) for k, z in enumerate(per_k)
@@ -370,11 +377,12 @@ def _certificate_hull(cert, l, u):
     """Box hull of {x : l <= A x <= u} for each row of the (..., rows)
     offset arrays l, u, from the certificates of A.
 
-    Returns (lo, hi, empty): (..., n) bounds and the (...) mask of
-    polytopes proven EMPTY.  The EMPTY test and the bounds carry a
-    margin of _GAP_RTOL plus the enumeration's slack, scaled by the
-    offsets' magnitude, so that both lean towards keeping a candidate;
-    bounds that cross by no more than the margin collapse to a point.
+    Returns (lo, hi, empty): (..., n) bounds, exact when cert.exact, and
+    the (...) mask of polytopes proven EMPTY.  The EMPTY test and the
+    bounds carry a margin of _GAP_RTOL plus the certificates' slack,
+    scaled by the offsets' magnitude, so that both lean towards keeping
+    a candidate; bounds that cross by no more than the margin collapse
+    to a point.
     """
     c = 0.5 * (l + u)
     r = 0.5 * (u - l)

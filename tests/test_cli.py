@@ -109,6 +109,15 @@ def test_bad_config_reports_line(tmp_path, capsys):
     assert "bad.cfg:1" in err and "bad value for n" in err
 
 
+def test_n_off_the_block_grid_reports_the_bank(tmp_path, capsys):
+    f = tmp_path / "odd.cfg"
+    f.write_text("n = 161\nrealizations = 1\nsnr_db = 7\n")
+    assert main(["sweep", "--config", str(f), "--out", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "n = 161 is not a multiple of this bank's N = 4" in err
+
+
 def test_infinite_delta_reports_the_field(tmp_path, capsys):
     f = tmp_path / "inf.cfg"
     f.write_text("n = 160\nrealizations = 1\nsnr_db = 7\ndelta = inf\n")

@@ -130,6 +130,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="window = 3 is below this bank's floor of 4"):
             run_sweep(cfg)
 
+    def test_n_off_the_block_grid_fails_before_decoding(self, monkeypatch):
+        def no_realization(args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(experiment, "_run_realization", no_realization)
+        cfg = ExperimentConfig(n=161, realizations=1, snr_db=(7.0,))
+        with pytest.raises(ValueError, match=r"^n = 161 is not a multiple of this bank's N = 4$"):
+            run_sweep(cfg)
+        with pytest.raises(ValueError, match="n = 161 is not a multiple"):
+            simulate_point(cfg)
+
     def test_constructor_errors_name_origin(self):
         with pytest.raises(ValueError, match=r"^sim\.cfg: source must be 'ar1' or 'pgm'"):
             parse_config("source = wav\n", origin="sim.cfg")
@@ -229,6 +240,13 @@ class TestConfigValidation:
             ("clip", 0.0, "clip must be finite and positive for an ar1 source, got 0.0"),
             ("n_max", 2.5, "n_max must be an integer, got 2.5"),
             ("window", 8.5, "window must be an integer, got 8.5"),
+            ("n", 160.5, "n must be an integer, got 160.5"),
+            ("n", True, "n must be an integer, got True"),
+            ("realizations", 1.5, "realizations must be an integer, got 1.5"),
+            ("workers", 1.5, "workers must be an integer, got 1.5"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", False, "seed must be an integer, got False"),
+            ("seed", -1, "seed must be non-negative, got -1"),
         ],
     )
     def test_rejected_on_construction(self, field, value, message):
@@ -249,6 +267,12 @@ class TestConfigValidation:
         got = simulate_point(ExperimentConfig(**SMALL, **counts))
         want = simulate_point(ExperimentConfig(**{**SMALL, "n_max": 4}))
         assert (got["proposed"], got["classical"]) == (want["proposed"], want["classical"])
+
+    def test_numpy_integer_sweep_fields_accepted(self):
+        counts = {"n": np.int64(160), "realizations": np.int64(2), "workers": np.int64(1),
+                  "seed": np.int64(5)}
+        got = run_sweep(ExperimentConfig(**{**SMALL, **counts}))
+        assert got == run_sweep(ExperimentConfig(**SMALL))
 
     def test_fields_of_the_other_source_are_not_checked(self):
         ExperimentConfig(source="pgm", clip=float("inf"))

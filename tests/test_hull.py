@@ -1,8 +1,10 @@
-"""The exact consistency hull from LP-dual certificates: the enumerated
-bank data, and property tests against the scipy LP hull over random
-small banks."""
+"""The consistency hull from LP-dual certificates: the enumerated bank
+data, the capped set of banks above the cap, and property tests against
+the scipy LP hull over random small banks."""
 
+import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,16 +26,29 @@ from ofbdec import (
     step,
     top_candidates,
 )
-from ofbdec import decoder
+from ofbdec import decoder, filterbank
 from ofbdec.decoder import _consistency_batch, _history_reach
+from ofbdec.filterbank import HULL_SUBSET_CAP
 from ofbdec.interval import HullCertificates, _certificate_hull, box_hull_lp
 
 DATA = Path(__file__).parent / "data"
 
 
+def walsh_poly():
+    return polyphase_from_filters(load_filter_bank(DATA / "walsh_12x8.txt"))
+
+
+def capped_certificates(poly):
+    """The certificate set that banks above HULL_SUBSET_CAP get, built
+    for any bank by lowering the cap."""
+    with mock.patch.object(filterbank, "HULL_SUBSET_CAP", 0):
+        return Polyphase(poly.E).consistency_certificates()
+
+
 class TestEnumeration:
     def test_default_bank(self, default_pipe):
         cert = default_pipe.poly.consistency_certificates()
+        assert cert.exact
         assert (cert.bases, cert.circuits) == (129, 50)
         assert cert.per_coordinate == (24, 24, 24, 24)
         assert cert.G.shape == (10, 50 + 4 * 24)
@@ -50,8 +65,63 @@ class TestEnumeration:
         assert supports == [2] + [3] * 7
 
     def test_wide_bank_above_cap(self):
-        poly = polyphase_from_filters(load_filter_bank(DATA / "walsh_12x8.txt"))
-        assert poly.consistency_certificates() is None
+        """Above the cap: per coordinate the input-box row and the pinv
+        row, no circuits, each column a dual certificate within slack."""
+        poly = walsh_poly()
+        cert = poly.consistency_certificates()
+        assert not cert.exact
+        assert (cert.bases, cert.circuits) == (0, 0)
+        assert cert.per_coordinate == (2,) * 8
+        A = np.vstack([np.eye(8), poly.E[0]])
+        for k in range(8):
+            Z = cert.G[:, cert.starts[k]:cert.starts[k] + 2]
+            assert np.all(np.sum(np.abs(Z.T @ A - np.eye(8)[k]), axis=1) <= cert.slack)
+        assert cert.slack < 1e-13
+        assert poly.consistency_certificates() is cert
+
+    def test_wide_bank_box_is_the_pinv_prefilter(self):
+        """On the Walsh bank the capped set's box is the input box
+        intersected with the interval image pinv(E_0) [c], computed here
+        from left_inverse(), up to the slack widening, with the same
+        EMPTY verdicts."""
+        poly = walsh_poly()
+        cert = poly.consistency_certificates()
+        rng = np.random.default_rng(5)
+        R, N, M = 400, poly.N, poly.M
+        x = rng.uniform(-4.0, 4.0, (R, N))
+        shift = rng.normal(0.0, 3.0, (R, M)) * (rng.random((R, 1)) < 0.5)
+        rad = rng.uniform(0.1, 0.5, (R, M))
+        c_lo = x @ poly.E[0].T + shift - rad
+        c_hi = c_lo + 2.0 * rad
+        W = poly.left_inverse()
+        px_c = 0.5 * (c_lo + c_hi) @ W.T
+        px_r = 0.5 * (c_hi - c_lo) @ np.abs(W).T
+        ref_lo = np.maximum(-4.0, px_c - px_r)
+        ref_hi = np.minimum(4.0, px_c + px_r)
+        gap = ref_lo - ref_hi
+        ref_empty = np.any(gap > 1e-12 * (1.0 + np.abs(ref_lo) + np.abs(ref_hi)), axis=1)
+        mid = 0.5 * (ref_lo + ref_hi)
+        ref_lo, ref_hi = np.where(gap > 0.0, mid, ref_lo), np.where(gap > 0.0, mid, ref_hi)
+        l = np.hstack([np.full((R, N), -4.0), c_lo])
+        u = np.hstack([np.full((R, N), 4.0), c_hi])
+        lo, hi, empty = _certificate_hull(cert, l, u)
+        assert np.array_equal(empty, ref_empty)
+        assert 0 < empty.sum() < R
+        # the widening slack * scale, plus the rounding of the products
+        scale = 1.0 + np.max(np.abs(0.5 * (l + u)), axis=1) + np.max(0.5 * (u - l), axis=1)
+        tol = 2.0 * cert.slack * scale
+        assert np.all(np.abs(lo - ref_lo) <= tol[:, None])
+        assert np.all(np.abs(hi - ref_hi) <= tol[:, None])
+
+    def test_rank_deficient_wide_bank_gets_box_rows_only(self):
+        E = walsh_poly().E.copy()
+        E[0, :, 7] = E[0, :, 0]
+        cert = Polyphase(E).consistency_certificates()
+        assert math.comb(8 + 12, 8) > HULL_SUBSET_CAP
+        assert not cert.exact
+        assert (cert.circuits, cert.per_coordinate) == (0, (1,) * 8)
+        assert np.array_equal(cert.G, np.eye(20, 8))
+        assert cert.slack == 0.0
 
     def test_columns_are_dual_certificates(self, default_pipe):
         E0 = default_pipe.poly.E[0]
@@ -143,6 +213,14 @@ def lp_hulls(poly, state, cell_lo, cell_hi):
     return hulls, c_lo, c_hi
 
 
+def offsets(state, c_lo, c_hi):
+    """The (l, u) offsets of [I_N; E_0] x: the input box, then [c]."""
+    shape = c_lo.shape[:2] + (state.input_box.dim,)
+    l = np.concatenate([np.broadcast_to(state.input_box.lo, shape), c_lo], axis=2)
+    u = np.concatenate([np.broadcast_to(state.input_box.hi, shape), c_hi], axis=2)
+    return l, u
+
+
 def assert_equals_hull(lo, hi, empty, hulls):
     for k, hull in enumerate(hulls):
         assert bool(empty[k]) == hull.is_empty, (k, hull)
@@ -164,11 +242,25 @@ def test_certificate_box_is_the_lp_hull(poly, seed):
     is infeasible: never for a feasible candidate."""
     state, cell_lo, cell_hi = instance(poly, seed)
     hulls, c_lo, c_hi = lp_hulls(poly, state, cell_lo, cell_hi)
-    N = poly.N
-    l = np.concatenate([np.broadcast_to(state.input_box.lo, c_lo.shape[:2] + (N,)), c_lo], axis=2)
-    u = np.concatenate([np.broadcast_to(state.input_box.hi, c_hi.shape[:2] + (N,)), c_hi], axis=2)
-    lo, hi, empty = _certificate_hull(poly.consistency_certificates(), l, u)
+    lo, hi, empty = _certificate_hull(poly.consistency_certificates(), *offsets(state, c_lo, c_hi))
     assert_equals_hull(lo[0], hi[0], empty[0], hulls)
+
+
+@PROPERTY
+@given(poly=small_banks(), seed=st.integers(0, 2**32 - 1))
+def test_capped_set_encloses_the_lp_hull(poly, seed):
+    """The capped set's box contains the LP hull, and it never claims
+    EMPTY for a feasible candidate."""
+    cert = capped_certificates(poly)
+    assert not cert.exact and cert.circuits == 0
+    state, cell_lo, cell_hi = instance(poly, seed)
+    hulls, c_lo, c_hi = lp_hulls(poly, state, cell_lo, cell_hi)
+    lo, hi, empty = _certificate_hull(cert, *offsets(state, c_lo, c_hi))
+    for k, hull in enumerate(hulls):
+        if not hull.is_empty:
+            assert not empty[0, k], k
+            assert np.all(lo[0, k] <= hull.lo + 1e-9 * (1.0 + np.abs(hull.lo)))
+            assert np.all(hi[0, k] >= hull.hi - 1e-9 * (1.0 + np.abs(hull.hi)))
 
 
 @PROPERTY
