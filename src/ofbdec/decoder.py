@@ -13,7 +13,9 @@ input blocks, {x in input box : E_0 x in cells - history reach}, with
 LP-dual certificates cached per bank (Polyphase.consistency_certificates):
 on banks small enough to enumerate they give its exact box hull, the
 result, and Farkas circuits prove it empty; larger banks get a capped
-set, whose box a forward-backward affine contractor then narrows.
+set, whose box a forward-backward affine contractor then narrows.  This
+is the decoder's only consistency path; the scipy LP hull in the
+interval module serves the tests as an oracle.
 
 Decoding runs in lockstep: B independent streams advance one instant at
 a time together, their histories held as arrays of shape (B, L, N) and
@@ -41,13 +43,13 @@ matches the reference behavior this module reimplements.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelModel
 from .filterbank import synthesize_ls
-from .interval import Box, box_hull_lp, _certificate_hull, _contract_affine_batch
+from .interval import _MAX_SWEEPS, _SWEEP_TOL, Box, _certificate_hull, _contract_affine_batch
 
 __all__ = [
     "FLAG_CLEAN",
@@ -74,9 +76,6 @@ FLAG_NO_CONSISTENT = 1
 FLAG_PARITY_EXHAUSTED = 2
 
 _PARITY_RTOL = 1e-12
-# stall threshold and sweep cap of the forward-backward contractor
-_SWEEP_TOL = 1e-6
-_MAX_SWEEPS = 50
 # elements of the largest array one chunk of candidate listing builds:
 # chunk * (frontier pairs of a stage) merged partial vectors, or chunk *
 # 2^R * R soft-bit distances of an R-bit subband; a tie fallback merges
@@ -93,11 +92,16 @@ def _check_integer(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_bool(name, value):
+    """Reject a config flag that is not a bool (or numpy bool)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     n_max: int = 20
     use_pct: bool = True
-    contractor: str = "sweep"  # "sweep" (the default backend) or "lp" (scipy LP hull)
     window: int = 8  # synthesis window for the final point estimate
 
     def __post_init__(self):
@@ -106,8 +110,7 @@ class DecoderConfig:
             _check_integer(name, value)
             if value < floor:
                 raise ValueError(f"{name} must be at least {floor}")
-        if self.contractor not in ("sweep", "lp"):
-            raise ValueError(f"contractor must be 'sweep' or 'lp', got {self.contractor!r}")
+        _check_bool("use_pct", self.use_pct)
 
 
 @dataclass(frozen=True)
@@ -354,7 +357,7 @@ def _history_reach(state, poly):
     return c - rdy, c + rdy
 
 
-def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
+def _consistency_batch(cell_lo, cell_hi, state, poly):
     """Contract the input box against every candidate's cell, for every
     stream at once.
 
@@ -362,14 +365,14 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
     K candidates.  Returns (lo, hi, empty): (B, K, N) endpoint arrays
     and the (B, K) mask of candidates proven inconsistent.
 
-    The default backend bounds the polytope
-    {x : x in input box, E_0 x in [c]}, [c] being the cells minus the
-    history reach, by one step over the bank's consistency certificates:
-    two matrix products.  On banks under HULL_SUBSET_CAP the set is
-    exact: its box is the polytope's hull, its circuits prove EMPTY
-    exactly the candidates no input reaches, and no contractor can
-    tighten that, so it is the result.  Above the cap the capped set's
-    box, an outer enclosure, is then narrowed by forward-backward sweeps.
+    The polytope {x : x in input box, E_0 x in [c]}, [c] being the cells
+    minus the history reach, is bounded by one step over the bank's
+    consistency certificates: two matrix products.  On banks under
+    HULL_SUBSET_CAP the set is exact: its box is the polytope's hull,
+    its circuits prove EMPTY exactly the candidates no input reaches,
+    and no contractor can tighten that, so it is the result.  Above the
+    cap the capped set's box, an outer enclosure, is then narrowed by
+    forward-backward sweeps.
     """
     B, K, M = cell_lo.shape
     N = poly.N
@@ -377,19 +380,6 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
     c_lo = cell_lo - reach_hi[:, None, :]
     c_hi = cell_hi - reach_lo[:, None, :]
     input_box = state.input_box
-    if cfg.contractor == "lp":
-        lo = np.empty((B, K, N))
-        hi = np.empty((B, K, N))
-        empty = np.zeros((B, K), dtype=bool)
-        for b in range(B):
-            for k in range(K):
-                box = box_hull_lp(poly.E[0], input_box, Box(c_lo[b, k], c_hi[b, k]))
-                if box.is_empty:
-                    empty[b, k] = True
-                else:
-                    lo[b, k] = box.lo
-                    hi[b, k] = box.hi
-        return lo, hi, empty
     cert = poly.consistency_certificates()
     l = np.concatenate([np.broadcast_to(input_box.lo, (B, K, N)), c_lo], axis=2)
     u = np.concatenate([np.broadcast_to(input_box.hi, (B, K, N)), c_hi], axis=2)
@@ -405,15 +395,15 @@ def _consistency_batch(cell_lo, cell_hi, state, poly, cfg):
     return lo, hi, empty
 
 
-def consistency_box(u, state, poly, q, cfg=None):
+def consistency_box(u, state, poly, q):
     """Contracted box of input blocks that can produce subband values in
     the cells of index vector u, given the decoded history; EMPTY when
-    the candidate is proven inconsistent: the exact box hull of those
-    inputs on a bank under the cap (or with the lp contractor), the
-    capped set's box and the sweep above it; see _consistency_batch."""
-    cfg = cfg if cfg is not None else DecoderConfig()
+    the candidate is proven inconsistent.  On a bank under the cap this
+    is the exact box hull of those inputs; above it, the capped set's
+    box narrowed by the sweep.  The one-candidate case of
+    _consistency_batch."""
     cell_lo, cell_hi = q.cell_bounds(np.asarray(u, dtype=np.int64).reshape(1, 1, -1))
-    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly, cfg)
+    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
     if empty[0, 0]:
         return Box.empty(poly.N)
     return Box(lo[0, 0], hi[0, 0])
@@ -470,7 +460,7 @@ def _fallback(u, x_lo, x_hi, input_box, poly, q):
     return np.maximum(point - rad, input_box.lo), np.minimum(point + rad, input_box.hi)
 
 
-def _advance(state, u, cell_lo, cell_hi, use_pct, poly, parity, q, cfg):
+def _advance(state, u, cell_lo, cell_hi, use_pct, poly, parity, q):
     """Decode one instant of B streams and push their boxes onto the
     history.
 
@@ -487,7 +477,7 @@ def _advance(state, u, cell_lo, cell_hi, use_pct, poly, parity, q, cfg):
     """
     B = u.shape[0]
     rows = np.arange(B)
-    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly, cfg)
+    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
     live = ~empty
     n_consistent = np.count_nonzero(live, axis=1)
     pick = np.argmax(live, axis=1)
@@ -522,7 +512,7 @@ def step(r_inst, state, poly, parity, q, ch, cfg):
     u = np.stack([c.u for c in top_candidates(r_inst, q, ch, cfg.n_max)])[None]
     cell_lo, cell_hi = q.cell_bounds(u)
     u_hat, x_lo, x_hi, y_lo, y_hi, flag, pick, n_consistent = _advance(
-        state, u, cell_lo, cell_hi, np.array([cfg.use_pct]), poly, parity, q, cfg
+        state, u, cell_lo, cell_hi, np.array([cfg.use_pct]), poly, parity, q
     )
     return StepResult(
         u_hat=u_hat[0],
@@ -580,13 +570,13 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
         raise ValueError("decode_streams needs at least one stream")
     if not cfgs:
         raise ValueError("decode_streams needs at least one decoder config")
-    base = cfgs[0]
-    if any(replace(c, use_pct=base.use_pct, window=base.window) != base for c in cfgs):
-        raise ValueError("lockstep decoders must share n_max and the contractor settings")
+    n_max = cfgs[0].n_max
+    if any(c.n_max != n_max for c in cfgs):
+        raise ValueError("lockstep decoders must share n_max")
     if len(rs) != len(channels):
         raise ValueError("expected one channel per stream")
     lists = [
-        _candidate_lists(r, q, ch.effective_sigma2(), base.n_max)[0]
+        _candidate_lists(r, q, ch.effective_sigma2(), n_max)[0]
         for r, ch in zip(rs, channels)
     ]
     T = lists[0].shape[0]
@@ -609,7 +599,7 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
     n_consistent = np.empty((B, T), dtype=np.int64)
     for i in range(T):
         u_hat[:, i], lo[:, i], hi[:, i], _, _, flags[:, i], pick, n_consistent[:, i] = _advance(
-            state, u[src, i], cell_lo[src, i], cell_hi[src, i], use_pct, poly, parity, q, base
+            state, u[src, i], cell_lo[src, i], cell_hi[src, i], use_pct, poly, parity, q
         )
         ranks[:, i] = pick + 1
     results = [

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .decoder import _CONFIG_FLOORS, DecoderConfig, _check_integer
+from .decoder import _CONFIG_FLOORS, DecoderConfig, _check_bool, _check_integer
 from .decoder import decode_classical, decode_sequence, decode_streams
 from .filterbank import (
     _bank_source,
@@ -94,6 +94,7 @@ class ExperimentConfig:
     realizations: int = 250
     n_max: int = 20
     use_pct: bool = True
+    # only "sweep" is left; kept because the benchmark harness passes it
     contractor: str = "sweep"
     window: int = 8
     noiseless: bool = False  # channel override: transmit without noise
@@ -134,7 +135,11 @@ class ExperimentConfig:
             if value < floor:
                 what = "positive" if floor else "non-negative"
                 raise ValueError(f"{name} must be {what}, got {value}")
-        # n_max, window and contractor are checked by the decoder config
+        if self.contractor != "sweep":
+            raise ValueError(f"contractor must be 'sweep', got {self.contractor!r}")
+        for name in ("gray", "noiseless"):
+            _check_bool(name, getattr(self, name))
+        # n_max, window and use_pct are checked by the decoder config
         _decoder_config(self, self.use_pct)
 
 
@@ -294,9 +299,7 @@ def _encode(pipe, realization):
 
 
 def _decoder_config(cfg, use_pct):
-    return DecoderConfig(
-        n_max=cfg.n_max, use_pct=use_pct, contractor=cfg.contractor, window=cfg.window
-    )
+    return DecoderConfig(n_max=cfg.n_max, use_pct=use_pct, window=cfg.window)
 
 
 def _run_realization(args):

@@ -28,6 +28,9 @@ __all__ = [
 # Margin factor for emptiness proofs inside the contractor; see module
 # docstring.
 _GAP_RTOL = 1e-12
+# default stall threshold and sweep cap of the forward-backward contractor
+_SWEEP_TOL = 1e-6
+_MAX_SWEEPS = 50
 # smallest singular value, relative to the largest, of a basis that
 # HullCertificates accepts
 _BASIS_RCOND = 1e-10
@@ -403,7 +406,7 @@ def _certificate_hull(cert, l, u):
     return np.where(touch, mid, lo), np.where(touch, mid, hi), empty
 
 
-def contract_affine(A, x0, c, tol=1e-6, max_sweeps=50):
+def contract_affine(A, x0, c, tol=_SWEEP_TOL, max_sweeps=_MAX_SWEEPS):
     """Contract the box x0 against the affine range constraints A x in c.
 
     Parameters
@@ -444,8 +447,8 @@ def box_hull_lp(A, x0, c):
 
     Slower than contract_affine but tight: each face of the returned box
     touches the feasible polytope.  Returns EMPTY when the polytope is
-    empty.  Intended as a cross-check and as an optional contractor
-    backend; requires scipy.
+    empty.  The test oracle for the decoder's certificate hull; requires
+    scipy.
     """
     from scipy.optimize import linprog
 

@@ -19,10 +19,12 @@ from ofbdec import (
     FLAG_CLEAN,
     analyze,
     bpsk_ber,
+    box_hull_lp,
     consistency_box,
     decode_classical,
     decode_sequence,
     gen_ar1,
+    matvec_box,
     parity_test,
     reconstruction_snr,
     run_sweep,
@@ -118,36 +120,37 @@ def test_2_small_instance_oracles(tiny_pipe):
         step(r[i], state, poly, parity, q, ch, cfg)
 
         for code in np.flatnonzero(feas):
-            if consistency_box(u_all[code], snap, poly, q, cfg).is_empty:
+            if consistency_box(u_all[code], snap, poly, q).is_empty:
                 excl_violations += 1
         for code in np.flatnonzero(feas_pct):
             if not parity_test(u_all[code], snap, parity, q):
                 excl_violations += 1
 
-    # (c) with the exact hull backend, which is tight for this bank
-    # (the lag-1 polyphase matrix has a single nonzero row, so the
-    # history reach interval is exact), û on clean instants must be
-    # the likelihood argmax over the truly feasible candidates
-    cfg_lp = DecoderConfig(n_max=20, use_pct=False, contractor="lp")
+    # (c) û on clean instants must be the likelihood argmax over the
+    # truly feasible candidates.  The bank is under the certificate cap,
+    # so the default decoder's hull is exact; the scipy LP hull checks
+    # the candidates ranked at or above each pick, against the history
+    # the decoder built (the lag-1 polyphase matrix has a single nonzero
+    # row, so the history reach interval is exact)
+    cfg = DecoderConfig(n_max=20, use_pct=False)
     state = DecoderState.initial(input_box, poly, parity)
     argmax_mismatches = 0
     clean = 0
+
+    def lp_feasible(u, reach):
+        lo, hi = q.cell_bounds(u)
+        return not box_hull_lp(E0, input_box, Box(lo - reach.hi, hi - reach.lo)).is_empty
+
     for i in range(T):
-        snap = DecoderState(input_box, state.x_lo, state.x_hi, state.y_lo, state.y_hi)
-        res = step(r[i], state, poly, parity, q, ch, cfg_lp)
+        reach = matvec_box(E1, Box(state.x_lo[0, 0], state.x_hi[0, 0]))
+        res = step(r[i], state, poly, parity, q, ch, cfg)
         if res.flag != FLAG_CLEAN:
             continue
         clean += 1
-        cands = top_candidates(r[i], q, ch, cfg_lp.n_max)
+        cands = top_candidates(r[i], q, ch, cfg.n_max)
         assert np.array_equal(cands[res.rank - 1].u, res.u_hat)
-        better_feasible = any(
-            not consistency_box(c.u, snap, poly, q, cfg_lp).is_empty
-            for c in cands[: res.rank - 1]
-        )
-        pick_feasible = not consistency_box(
-            res.u_hat, snap, poly, q, cfg_lp
-        ).is_empty
-        if better_feasible or not pick_feasible:
+        better_feasible = any(lp_feasible(c.u, reach) for c in cands[: res.rank - 1])
+        if better_feasible or not lp_feasible(res.u_hat, reach):
             argmax_mismatches += 1
 
     ok = rank_mismatches == 0 and excl_violations == 0 and argmax_mismatches == 0

@@ -69,7 +69,7 @@ def test_contractor_takes_its_group_positionally():
 
 def test_config_fields():
     assert [f.name for f in dataclasses.fields(od.DecoderConfig)] == [
-        "n_max", "use_pct", "contractor", "window",
+        "n_max", "use_pct", "window",
     ]
     assert {
         "source", "n", "rho", "clip", "pgm_path", "pgm_rows", "pgm_range", "bank", "delta",

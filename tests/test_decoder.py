@@ -22,11 +22,13 @@ from ofbdec import (
     FLAG_PARITY_EXHAUSTED,
     FilterBank,
     QuantizerBank,
+    box_hull_lp,
     consistency_box,
     decode_classical,
     decode_sequence,
     decode_streams,
     gen_ar1,
+    matvec_box,
     parity_test,
     polyphase_from_filters,
     step,
@@ -139,10 +141,10 @@ class TestConsistencyBox:
         box = consistency_box(np.array([5, 5]), state, poly, q)
         assert np.allclose(box.lo, 4.5) and np.allclose(box.hi, 4.8)
 
-    @pytest.mark.parametrize("contractor", ["sweep", "lp"])
+    # a single case: the decoder has one consistency path
+    @pytest.mark.parametrize("contractor", ["sweep"])
     def test_contains_truth_given_true_history(self, tiny_pipe, contractor):
         p = tiny_pipe
-        cfg = DecoderConfig(contractor=contractor)
         rng = np.random.default_rng(11)
         for _ in range(40):
             x_prev = rng.uniform(-1.0, 1.0, 2)
@@ -150,7 +152,7 @@ class TestConsistencyBox:
             y = p.poly.E[0] @ x_cur + p.poly.E[1] @ x_prev
             u = p.q.quantize_block(y.reshape(1, -1))[0]
             state = one_stream_state(Box.uniform(-1.0, 1.0, 2), [Box.point(x_prev)])
-            box = consistency_box(u, state, p.poly, p.q, cfg)
+            box = consistency_box(u, state, p.poly, p.q)
             assert not box.is_empty
             assert box.contains(x_cur, tol=1e-9)
 
@@ -163,10 +165,10 @@ class TestConsistencyBox:
             y = p.poly.E[0] @ x_cur + p.poly.E[1] @ x_prev
             u = p.q.quantize_block(y.reshape(1, -1))[0]
             state = one_stream_state(Box.uniform(-1.0, 1.0, 2), [Box.point(x_prev)])
-            sweep = consistency_box(u, state, p.poly, p.q, DecoderConfig())
-            lp = consistency_box(
-                u, state, p.poly, p.q, DecoderConfig(contractor="lp")
-            )
+            sweep = consistency_box(u, state, p.poly, p.q)
+            reach = matvec_box(p.poly.E[1], Box.point(x_prev))
+            lo, hi = p.q.cell_bounds(u)
+            lp = box_hull_lp(p.poly.E[0], state.input_box, Box(lo - reach.hi, hi - reach.lo))
             assert np.all(lp.lo >= sweep.lo - 1e-7)
             assert np.all(lp.hi <= sweep.hi + 1e-7)
 
@@ -176,10 +178,9 @@ class TestConsistencyBox:
         x_prev = rng.uniform(-1.0, 1.0, 2)
         state = one_stream_state(Box.uniform(-1.0, 1.0, 2), [Box.point(x_prev)])
         feasible = sample_feasible_indexes(state, p, rng, n_samples=20_000)
-        cfg = DecoderConfig()
         assert len(feasible) >= 4
         for tup in feasible:
-            box = consistency_box(np.array(tup), state, p.poly, p.q, cfg)
+            box = consistency_box(np.array(tup), state, p.poly, p.q)
             assert not box.is_empty
 
 
@@ -406,10 +407,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_max"):
             DecoderConfig(n_max=0)
 
-    def test_contractor_validated(self):
-        with pytest.raises(ValueError, match="contractor"):
-            DecoderConfig(contractor="newton")
-
     @pytest.mark.parametrize(
         "field, value",
         [("n_max", 2.5), ("window", 8.5), ("n_max", np.float64(20.0)), ("window", "8"),
@@ -423,6 +420,9 @@ class TestConfig:
     def test_window_floor(self):
         with pytest.raises(ValueError, match="^window must be at least 2$"):
             DecoderConfig(window=1)
+
+    def test_numpy_bool_accepted(self):
+        assert not DecoderConfig(use_pct=np.bool_(False)).use_pct
 
 
 class TestCandidateLists:
@@ -524,11 +524,6 @@ class TestLockstep:
         flags = self._check(p, 240, (-2.0, 3.0, 8.0), cfgs, seed=8)
         # the short list at low SNR exercises the fallback and the parity flag
         assert set(flags.tolist()) == {FLAG_CLEAN, FLAG_NO_CONSISTENT, FLAG_PARITY_EXHAUSTED}
-
-    def test_matches_streams_alone_lp(self, tiny_pipe):
-        cfgs = [DecoderConfig(n_max=4, use_pct=True, contractor="lp"),
-                DecoderConfig(n_max=4, use_pct=False, contractor="lp")]
-        self._check(tiny_pipe, 24, (2.0, 9.0), cfgs, seed=3)
 
     def test_no_streams_rejected(self, tiny_pipe):
         p = tiny_pipe

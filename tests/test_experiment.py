@@ -227,7 +227,7 @@ class TestConfigValidation:
             ("workers", 0, "workers must be positive"),
             ("n_max", 0, "n_max must be at least 1"),
             ("window", 1, "window must be at least 2"),
-            ("contractor", "foo", "contractor must be 'sweep' or 'lp', got 'foo'"),
+            ("contractor", "foo", "contractor must be 'sweep', got 'foo'"),
             ("rho", 1.0, r"rho must lie in \[0, 1\) for an ar1 source, got 1.0"),
             ("rho", -0.5, r"rho must lie in \[0, 1\) for an ar1 source, got -0.5"),
             ("snr_db", (7.0, float("nan")), r"snr_db values must be finite, got \(7.0, nan\)"),
@@ -247,6 +247,11 @@ class TestConfigValidation:
             ("seed", 1.5, "seed must be an integer, got 1.5"),
             ("seed", False, "seed must be an integer, got False"),
             ("seed", -1, "seed must be non-negative, got -1"),
+            ("contractor", "lp", "contractor must be 'sweep', got 'lp'"),
+            ("gray", "off", "gray must be a boolean, got 'off'"),
+            ("noiseless", "off", "noiseless must be a boolean, got 'off'"),
+            ("use_pct", "no", "use_pct must be a boolean, got 'no'"),
+            ("gray", 1, "gray must be a boolean, got 1"),
         ],
     )
     def test_rejected_on_construction(self, field, value, message):

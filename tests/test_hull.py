@@ -268,7 +268,7 @@ def test_capped_set_encloses_the_lp_hull(poly, seed):
 def test_consistency_is_the_lp_hull(poly, seed):
     state, cell_lo, cell_hi = instance(poly, seed)
     hulls, _, _ = lp_hulls(poly, state, cell_lo, cell_hi)
-    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly, DecoderConfig())
+    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
     assert_equals_hull(lo[0], hi[0], empty[0], hulls)
 
 
@@ -325,7 +325,7 @@ def test_consistency_on_a_decoded_stream_is_the_lp_hull(default_pipe):
     for i in range(r.shape[0]):
         u = np.stack([c.u for c in top_candidates(r[i], p.q, ch, cfg.n_max)])[None]
         cell_lo, cell_hi = p.q.cell_bounds(u)
-        lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, p.poly, cfg)
+        lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, p.poly)
         hulls, _, _ = lp_hulls(p.poly, state, cell_lo, cell_hi)
         assert_equals_hull(lo[0], hi[0], empty[0], hulls)
         verdicts.extend(empty[0].tolist())
