@@ -48,7 +48,7 @@ from .filterbank import (
     synthesize_ls,
     verify_annihilation,
 )
-from .interval import Box, Interval, box_hull_lp, contract_affine, matvec_box
+from .interval import Box, Interval, box_hull_lp, matvec_box
 from .quantizer import QuantizerBank, allocate_rates, subband_ranges
 from .sources import gen_ar1, load_pgm_lines
 

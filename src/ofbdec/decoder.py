@@ -10,12 +10,12 @@ first survivor in likelihood order together with its signal box.
 
 The consistency test (2) bounds the polytope of admissible current
 input blocks, {x in input box : E_0 x in cells - history reach}, with
-LP-dual certificates cached per bank (Polyphase.consistency_certificates):
-on banks small enough to enumerate they give its exact box hull, the
-result, and Farkas circuits prove it empty; larger banks get a capped
-set, whose box a forward-backward affine contractor then narrows.  This
-is the decoder's only consistency path; the scipy LP hull in the
-interval module serves the tests as an oracle.
+LP-dual certificates cached per bank (Polyphase.consistency_certificates)
+in one step of two matrix products: on banks small enough to enumerate
+they give its exact box hull, and Farkas circuits prove it empty;
+larger banks get the certificates of the bases near the input box,
+whose box is a sound outer bound.  The scipy LP hull in the interval
+module serves the tests as an oracle.
 
 Decoding runs in lockstep: B independent streams advance one instant at
 a time together, their histories held as arrays of shape (B, L, N) and
@@ -24,8 +24,8 @@ candidates.  The candidate lists of a stream are built beforehand, for
 all instants at once, and shared by every decoder variant that reads
 the same soft bits.  A single stream (decode_sequence, step) is the
 case B = 1.  Every matrix product keeps the shape it has for one
-stream, and the contractor stops each stream at its own stall test, so
-a stream decodes bit for bit the same whatever else runs beside it.
+stream, so a stream decodes bit for bit the same whatever else runs
+beside it.
 
 The point estimate for the whole stream is assembled afterwards: the
 decoded index vectors are dequantized and passed through the same
@@ -49,7 +49,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .filterbank import synthesize_ls
-from .interval import _MAX_SWEEPS, _SWEEP_TOL, Box, _certificate_hull, _contract_affine_batch
+from .interval import Box, _certificate_hull
 
 __all__ = [
     "FLAG_CLEAN",
@@ -160,6 +160,8 @@ class DecoderState:
     def initial(cls, input_box, poly, parity, streams=1):
         """Histories start as the degenerate all-zero boxes, which is
         exact for streams whose pre-start blocks are zero."""
+        if input_box.dim != poly.N:
+            raise ValueError(f"input box has dimension {input_box.dim}, the bank's N is {poly.N}")
         x = (streams, poly.L, poly.N)
         y = (streams, parity.order, poly.M)
         return cls(input_box, np.zeros(x), np.zeros(x), np.zeros(y), np.zeros(y))
@@ -180,6 +182,17 @@ def _matvec(A, X):
     return np.matmul(A, X[..., None])[..., 0]
 
 
+def _soft_bits(r, q):
+    """r as a (T, total_bits) float array, checked to hold finite soft
+    bits of the right width: the input check of both receivers."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2 or r.shape[1] != q.total_bits:
+        raise ValueError(f"expected {q.total_bits} bits per instant")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("soft bits must be finite")
+    return r
+
+
 def _candidate_lists(r, q, sig2, n_max):
     """The n_max most likely index vectors of every instant, best first.
 
@@ -192,11 +205,7 @@ def _candidate_lists(r, q, sig2, n_max):
     each such array, and each tie fallback's sub-chunk, holds at most
     _LIST_CHUNK_ELEMENTS elements.
     """
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[1] != q.total_bits:
-        raise ValueError(f"expected {q.total_bits} bits per instant")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("soft bits must be finite")
+    r = _soft_bits(r, q)
     T = r.shape[0]
     K = widest = 1
     for R in q.rates:
@@ -358,8 +367,8 @@ def _history_reach(state, poly):
 
 
 def _consistency_batch(cell_lo, cell_hi, state, poly):
-    """Contract the input box against every candidate's cell, for every
-    stream at once.
+    """Box of the input blocks that can reach each candidate's cells,
+    for every stream at once.
 
     cell_lo, cell_hi are the (B, K, M) cell endpoints of each stream's
     K candidates.  Returns (lo, hi, empty): (B, K, N) endpoint arrays
@@ -367,14 +376,14 @@ def _consistency_batch(cell_lo, cell_hi, state, poly):
 
     The polytope {x : x in input box, E_0 x in [c]}, [c] being the cells
     minus the history reach, is bounded by one step over the bank's
-    consistency certificates: two matrix products.  On banks under
-    HULL_SUBSET_CAP the set is exact: its box is the polytope's hull,
-    its circuits prove EMPTY exactly the candidates no input reaches,
-    and no contractor can tighten that, so it is the result.  Above the
-    cap the capped set's box, an outer enclosure, is then narrowed by
-    forward-backward sweeps.
+    consistency certificates: two matrix products.  On banks whose
+    subsets all fit under HULL_SUBSET_CAP the set is exact: its box is
+    the polytope's hull, and its circuits prove EMPTY exactly the
+    candidates no input reaches.  On larger banks the box encloses the
+    hull and EMPTY is proven only where a circuit of the bases near the
+    input box reaches.
     """
-    B, K, M = cell_lo.shape
+    B, K, _ = cell_lo.shape
     N = poly.N
     reach_lo, reach_hi = _history_reach(state, poly)
     c_lo = cell_lo - reach_hi[:, None, :]
@@ -383,25 +392,15 @@ def _consistency_batch(cell_lo, cell_hi, state, poly):
     cert = poly.consistency_certificates()
     l = np.concatenate([np.broadcast_to(input_box.lo, (B, K, N)), c_lo], axis=2)
     u = np.concatenate([np.broadcast_to(input_box.hi, (B, K, N)), c_hi], axis=2)
-    lo, hi, empty = _certificate_hull(cert, l, u)
-    if not cert.exact:
-        # one contractor group of K rows per stream, so each stream stops
-        # at its own stall test
-        empty |= _contract_affine_batch(
-            poly.E[0], lo.reshape(B * K, N), hi.reshape(B * K, N),
-            c_lo.reshape(B * K, M), c_hi.reshape(B * K, M),
-            _SWEEP_TOL, _MAX_SWEEPS, K,
-        ).reshape(B, K)
-    return lo, hi, empty
+    return _certificate_hull(cert, l, u)
 
 
 def consistency_box(u, state, poly, q):
     """Contracted box of input blocks that can produce subband values in
     the cells of index vector u, given the decoded history; EMPTY when
     the candidate is proven inconsistent.  On a bank under the cap this
-    is the exact box hull of those inputs; above it, the capped set's
-    box narrowed by the sweep.  The one-candidate case of
-    _consistency_batch."""
+    is the exact box hull of those inputs; above it, an outer bound of
+    that hull.  The one-candidate case of _consistency_batch."""
     cell_lo, cell_hi = q.cell_bounds(np.asarray(u, dtype=np.int64).reshape(1, 1, -1))
     lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
     if empty[0, 0]:
@@ -629,7 +628,7 @@ def _finish(u_hat, lo, hi, flags, ranks, n_consistent, poly, q, cfg):
 def decode_classical(r, poly, q, window=8):
     """Reference receiver: per-bit hard decisions, dequantization, and
     windowed least-squares synthesis.  No consistency information."""
-    bits = ChannelModel.hard_decision(r)
+    bits = ChannelModel.hard_decision(_soft_bits(r, q))
     u = q.decode_stream(bits)
     y = q.dequantize_block(u)
     return synthesize_ls(poly, y, window=window)

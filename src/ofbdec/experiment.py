@@ -94,7 +94,8 @@ class ExperimentConfig:
     realizations: int = 250
     n_max: int = 20
     use_pct: bool = True
-    # only "sweep" is left; kept because the benchmark harness passes it
+    # selects nothing, as there is one consistency step; kept, accepting
+    # only "sweep", because bench/load.py passes it
     contractor: str = "sweep"
     window: int = 8
     noiseless: bool = False  # channel override: transmit without noise

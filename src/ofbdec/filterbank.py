@@ -14,6 +14,7 @@ parity bank P_0 .. P_L' annihilates every valid subband stream,
     sum_l P_l @ y[i-l] = 0  for all i.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -34,10 +35,15 @@ __all__ = [
 ]
 
 FRAME_SIGMA_MIN = 1e-8
-# banks whose [I_N; E_0] has more N-row subsets than this get a capped
-# certificate set, not the enumeration (10 on the tiny 3x2 bank, 210 on
-# the bundled 6x4 bank, 125,970 on a 12x8 bank)
-HULL_SUBSET_CAP = 4096
+# most N-row subsets of [I_N; E_0] that a bank's certificate set is
+# built from; levels 0 and 1 are kept even beyond it (see
+# _subsets_near_the_box).  The tiny 3x2 bank (10 subsets), the bundled
+# 6x4 bank (210) and the tests' random banks (at most 56) fit whole, so
+# their hull is exact.  The 12x8 Walsh bank (125,970) keeps levels 0
+# and 1, 97 subsets: its level 2 would add 1,848, which raised the
+# benchmark's bank_wide peak RSS by about 8 MB and its time per
+# realization by a third, with the same gain_db
+HULL_SUBSET_CAP = 1024
 _DEFAULT_BANK_RESOURCE = "haar_6x4.txt"
 
 
@@ -108,23 +114,12 @@ class Polyphase:
     def consistency_certificates(self):
         """Cached HullCertificates of A = [I_N; E_0], the constraint
         matrix of one instant's consistency test (input box rows, then
-        subband rows): enumerated, and exact, when A has at most
-        HULL_SUBSET_CAP N-row subsets; else a capped set without circuits
-        holding per coordinate k the input-box row e_k and, when E_0 has
-        full column rank, (0, row k of pinv(E_0)).  The capped set's box
-        is the input box intersected with the interval image
-        pinv(E_0) [c] of the subband offsets."""
+        subband rows), from the row subsets near the input box (see
+        _subsets_near_the_box): exact when those are all of A's N-row
+        subsets, an outer bound otherwise."""
         if self._certificates is None:
-            N, M = self.N, self.M
-            A = np.vstack([np.eye(N), self.E[0]])
-            if math.comb(N + M, N) <= HULL_SUBSET_CAP:
-                self._certificates = HullCertificates(A)
-            else:
-                rows = [np.eye(N, N + M)]
-                s = np.linalg.svd(self.E[0], compute_uv=False)
-                if s[-1] > 1e-10 * s[0]:
-                    rows.append(np.hstack([np.zeros((N, N)), self.left_inverse()]))
-                self._certificates = HullCertificates(A, np.stack(rows, axis=1))
+            A = np.vstack([np.eye(self.N), self.E[0]])
+            self._certificates = HullCertificates(A, _subsets_near_the_box(self.N, self.M))
         return self._certificates
 
     def stacked_oldest_first(self):
@@ -156,6 +151,23 @@ class Polyphase:
                 raise ValueError("central block is not determined by the window system")
             self._synthesis_rows[key] = pinv[rows]
         return self._synthesis_rows[key]
+
+
+def _subsets_near_the_box(N, M):
+    """(s, N) array of the N-row subsets of [I_N; E_0] that swap k
+    input-box rows for k subband rows, by whole levels k = 0, 1, ...
+    while their count stays within HULL_SUBSET_CAP; levels 0 and 1 are
+    always kept.  Level k holds C(N, k) C(M, k) subsets, and together
+    the levels hold all C(N+M, N), so when every level fits this is
+    every subset, in itertools.combinations order."""
+    family = []
+    for k in range(min(N, M) + 1):
+        if k > 1 and len(family) + math.comb(N, k) * math.comb(M, k) > HULL_SUBSET_CAP:
+            break
+        for out in itertools.combinations(range(N), k):
+            kept = [i for i in range(N) if i not in out]
+            family += [kept + list(rows) for rows in itertools.combinations(range(N, N + M), k)]
+    return np.array(sorted(family), dtype=np.int64)
 
 
 class ParityCheck:

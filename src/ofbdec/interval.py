@@ -1,19 +1,19 @@
-"""Closed intervals, boxes, an affine-constraint contractor, and the
-LP-dual certificates that bound a box hull.
+"""Closed intervals, boxes, and the LP-dual certificates that bound a
+box hull.
 
 The decoder needs three guarantees from this module: interval evaluation
-of affine maps never under-covers the true range, boxes returned by the
-contractor never exclude a feasible point, and infeasibility (an EMPTY
-result, Box.empty) is an explicit value rather than an inverted-endpoint
-convention.
+of affine maps never under-covers the true range, the certificate hull
+of a polytope never excludes a feasible point, and infeasibility (an
+EMPTY result, Box.empty) is an explicit value rather than an
+inverted-endpoint convention.
 
 Endpoints are ordinary floats with round-to-nearest arithmetic.  We do
 not chase directed rounding at the ulp level; emptiness decisions inside
-the contractor carry a small scale-relative margin instead, so a claim
-of EMPTY is always backed by a clearly positive gap.
+the certificate hull carry a small scale-relative margin instead, so a
+claim of EMPTY is always backed by a clearly positive gap.
 """
 
-import itertools
+import math
 
 import numpy as np
 
@@ -21,16 +21,12 @@ __all__ = [
     "Interval",
     "Box",
     "matvec_box",
-    "contract_affine",
     "box_hull_lp",
 ]
 
-# Margin factor for emptiness proofs inside the contractor; see module
-# docstring.
+# Margin factor for emptiness proofs inside the certificate hull; see
+# module docstring.
 _GAP_RTOL = 1e-12
-# default stall threshold and sweep cap of the forward-backward contractor
-_SWEEP_TOL = 1e-6
-_MAX_SWEEPS = 50
 # smallest singular value, relative to the largest, of a basis that
 # HullCertificates accepts
 _BASIS_RCOND = 1e-10
@@ -86,8 +82,8 @@ class Box:
         hi = np.asarray(hi, dtype=float).copy()
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("box endpoints must be 1-d arrays of equal length")
-        if np.any(lo > hi):
-            raise ValueError("box has lo > hi; use Box.empty() for the empty box")
+        if not np.all(lo <= hi):
+            raise ValueError("box needs lo <= hi; use Box.empty() for the empty box")
         self.lo = lo
         self.hi = hi
         self.dim = lo.shape[0]
@@ -176,126 +172,10 @@ def _gap_eps(scale):
     return _GAP_RTOL * (1.0 + scale)
 
 
-def _contract_affine_batch(A, lo, hi, c_lo, c_hi, tol, max_sweeps, group=None):
-    """Forward-backward contraction of K boxes against A x in [c].
-
-    Parameters
-    ----------
-    A : (m, n) array
-    lo, hi : (K, n) arrays, contracted in place
-    c_lo, c_hi : (K, m) arrays of constraint intervals
-    tol : relative stall threshold on per-sweep width contraction
-    max_sweeps : hard sweep cap
-    group : rows per group (default K, one group).  Rows g*group to
-        (g+1)*group - 1 form group g, which stops sweeping at its own
-        stall test, so its boxes are those it would get if contracted
-        alone.
-
-    Returns the boolean (K,) array marking boxes proven EMPTY.  The
-    emptiness tests carry a small scale-relative margin so that rounding
-    can never manufacture a false infeasibility proof; near-touching
-    intersections collapse to a point instead.
-    """
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    group = lo.shape[0] if group is None else int(group)
-    # Rows of box.reshape(2n, K) (lower ends, then upper ends) that the
-    # terms a_k [x_k] of row j take their ends from: pick[j, 0] for the
-    # lower ends (lo_k where a_k >= 0, else hi_k), pick[j, 1] for the
-    # upper ends; flip does the same with a_k > 0 for the backward step.
-    comp = np.arange(n)
-    pick = np.stack([np.where(A >= 0.0, comp, n + comp), np.where(A >= 0.0, n + comp, comp)], 1)
-    flip = np.stack([np.where(A > 0.0, comp, n + comp), np.where(A > 0.0, n + comp, comp)], 1)
-    nz = A != 0.0
-    a_safe = np.where(nz, A, 1.0)[:, :, None]
-    coef = A[:, :, None]
-    lo_out, hi_out = lo, hi
-    empty_out = np.zeros(lo.shape[0], dtype=bool)
-    # Working copies of the rows of groups still sweeping, with the row
-    # index on the last (contiguous) axis: box[0] holds the (n, K) lower
-    # ends and box[1] the upper ends, so one numpy call serves both.
-    rows = np.arange(lo.shape[0])
-    group_of = rows // group
-    box = np.stack([lo.T, hi.T])
-    c = np.stack([c_lo.T, c_hi.T])
-    c_abs = np.abs(c)
-    empty = empty_out.copy()
-
-    for _ in range(max_sweeps):
-        K = rows.size
-        if K == 0:
-            break
-        w_before = box[1] - box[0]
-        # prefix and suffix sums of the terms, with a zero row at the
-        # open end: pre[:, k] sums terms 0..k-1, suf[:, k] terms k..n-1,
-        # accumulated in the order of a running sum
-        pre = np.zeros((2, n + 1, K))
-        suf = np.zeros((2, n + 1, K))
-        for j in range(m):
-            # term intervals a_k [x_k]: t[0] their lower ends, t[1] upper
-            t = coef[j] * np.take(box.reshape(2 * n, K), pick[j], axis=0)
-            pre[:, 1] = t[:, 0]
-            for k in range(1, n):
-                np.add(pre[:, k], t[:, k], out=pre[:, k + 1])
-            suf[:, n - 1] = t[:, n - 1]
-            for k in range(n - 2, -1, -1):
-                np.add(suf[:, k + 1], t[:, k], out=suf[:, k])
-            s = pre[:, n]
-            s_abs = np.abs(s)
-
-            scale = s_abs[0] + s_abs[1] + c_abs[0, j] + c_abs[1, j]
-            eps = _gap_eps(scale)
-            f = np.empty((2, K))
-            np.maximum(s[0], c[0, j], out=f[0])
-            np.minimum(s[1], c[1, j], out=f[1])
-            gap = f[0] - f[1]
-            empty |= gap > eps
-            # near-touching forward ranges collapse to a point
-            touch = (gap > 0.0) & ~empty
-            f = np.where(touch, 0.5 * (f[0] + f[1]), f)
-
-            # backward: [x_k] <- [x_k] /\ (f - sum_{k' != k} t_k') / a_k
-            ex = pre[:, :-1] + suf[:, 1:]
-            num = f[:, None, :] - ex[::-1]
-            cand = np.take(num.reshape(2 * n, K), flip[j], axis=0) / a_safe[j]
-            new = np.empty_like(box)
-            np.maximum(box[0], cand[0], out=new[0])
-            np.minimum(box[1], cand[1], out=new[1])
-            if not nz[j].all():
-                new = np.where(nz[j][:, None], new, box)
-
-            cgap = new[0] - new[1]
-            new_abs = np.abs(new)
-            ceps = _gap_eps(new_abs[0] + new_abs[1])
-            empty |= np.any(cgap > ceps, axis=0)
-            ctouch = cgap > 0.0
-            new = np.where(ctouch, 0.5 * (new[0] + new[1]), new)
-            box = np.where(empty, box, new)
-
-        contraction = np.max(w_before - (box[1] - box[0]), axis=0)
-        reference = np.maximum(np.max(w_before, axis=0), 1e-300)
-        stalled = empty | (contraction < tol * reference)
-        # a group stops once all its rows stall; EMPTY rows are frozen
-        # and count as stalled, so they leave the working set at once
-        busy = np.zeros(group_of[-1] + 1, dtype=bool)
-        busy[group_of[~stalled]] = True
-        finished = empty | ~busy[group_of]
-        if np.any(finished):
-            done = rows[finished]
-            lo_out[done], hi_out[done] = box[0][:, finished].T, box[1][:, finished].T
-            empty_out[done] = empty[finished]
-            going = ~finished
-            rows, group_of, empty = rows[going], group_of[going], empty[going]
-            box, c, c_abs = box[:, :, going], c[:, :, going], c_abs[:, :, going]
-
-    lo_out[rows], hi_out[rows], empty_out[rows] = box[0].T, box[1].T, empty
-    return empty_out
-
-
 class HullCertificates:
     """LP-dual data that bound the box hull of
     P = {x : l <= A x <= u} for any offsets l <= u, computed once per A
-    (a (rows, n) matrix of full column rank).
+    (a (rows, n) matrix) from a family of its n-row subsets.
 
     With c, r the centre and radius of [l, u]:
 
@@ -305,53 +185,53 @@ class HullCertificates:
       dependent row set) proves P empty when c.y + r.|y| < 0 or
       c.y - r.|y| > 0 (Farkas).
 
-    By default they come from enumerating A's n-row bases (basis S gives
-    z_S = A_S^{-T} e_k) and the set is `exact`: when P is not empty the
-    best certificate attains each bound (an optimal LP basis), and when
-    P is empty some circuit proves it.  Given `certificates`, an
-    (n, k, rows) array of k per coordinate, the set holds those alone,
-    with no bases and no circuits, and bounds P from outside only.
+    Each nonsingular subset S of the (s, n) array `subsets` (distinct
+    row sets) is a basis: it gives the certificates z_S = A_S^{-T} e_k
+    and the fundamental circuits of the rows outside it.  When the
+    family is every n-row subset the set is `exact`: when P is not
+    empty the best certificate attains each bound (an optimal LP basis),
+    and when P is empty some circuit proves it.  A smaller family bounds
+    P from outside and proves EMPTY only what its circuits reach.
 
     G holds the circuits (unit 1-norm) in its first `circuits` columns,
     then the distinct certificates of coordinate 0, 1, ..., n-1, those
     of coordinate k starting at column circuits + starts[k].  `slack`
     bounds the 1-norm residual of A^T over every column, so rounding in
-    the enumeration, or in given certificates, is charged to the margins.
+    the inverses is charged to the margins.
     """
 
-    __slots__ = ("bases", "circuits", "per_coordinate", "starts", "G", "G_abs", "slack", "exact")
+    __slots__ = ("bases", "subsets", "circuits", "per_coordinate", "starts", "G", "G_abs",
+                 "slack", "exact")
 
-    def __init__(self, A, certificates=None):
+    def __init__(self, A, subsets):
         A = np.asarray(A, dtype=float)
         rows, n = A.shape
-        self.exact = certificates is None
-        if self.exact:
-            subsets = np.array(list(itertools.combinations(range(rows), n)), dtype=np.int64)
-            s = np.linalg.svd(A[subsets], compute_uv=False)
-            basis = subsets[s[:, -1] > _BASIS_RCOND * s[:, 0]]
-            if not basis.size:
-                raise ValueError("matrix has no nonsingular basis: its columns are dependent")
-            inv = np.linalg.inv(A[basis])  # (b, n, n)
-            b = basis.shape[0]
-            at = np.arange(b)[:, None, None]
-            # certificate of coordinate k from basis S: z_S = row k of A_S^{-1}
-            Z = np.zeros((b, n, rows))
-            Z[at, np.arange(n)[None, :, None], basis[:, None, :]] = inv
-            # fundamental circuit of row e outside S: y_e = 1, y_S = -a_e A_S^{-1}
-            Y = np.zeros((b, rows, rows))
-            Y[at, np.arange(rows)[None, :, None], basis[:, None, :]] = -(A @ inv)
-            Y[:, np.arange(rows), np.arange(rows)] += 1.0
-            Y[np.arange(b)[:, None], basis] = 0.0  # rows of S have no circuit
-            per_k = [_distinct_supports(_snap(Z[:, k])) for k in range(n)]
-            Yd = _distinct_supports(_snap(Y.reshape(b * rows, rows)))
-            Yd = Yd / np.sum(np.abs(Yd), axis=1, keepdims=True)
-        else:
-            b, Yd, per_k = 0, np.zeros((0, rows)), list(certificates)
+        subsets = np.asarray(subsets, dtype=np.int64).reshape(-1, n)
+        s = np.linalg.svd(A[subsets], compute_uv=False)
+        basis = subsets[s[:, -1] > _BASIS_RCOND * s[:, 0]]
+        if not basis.size:
+            raise ValueError("matrix has no nonsingular basis: its columns are dependent")
+        inv = np.linalg.inv(A[basis])  # (b, n, n)
+        b = basis.shape[0]
+        at = np.arange(b)[:, None, None]
+        # certificate of coordinate k from basis S: z_S = row k of A_S^{-1}
+        Z = np.zeros((b, n, rows))
+        Z[at, np.arange(n)[None, :, None], basis[:, None, :]] = inv
+        # fundamental circuit of row e outside S: y_e = 1, y_S = -a_e A_S^{-1}
+        Y = np.zeros((b, rows, rows))
+        Y[at, np.arange(rows)[None, :, None], basis[:, None, :]] = -(A @ inv)
+        Y[:, np.arange(rows), np.arange(rows)] += 1.0
+        Y[np.arange(b)[:, None], basis] = 0.0  # rows of S have no circuit
+        per_k = [_distinct_supports(_snap(Z[:, k])) for k in range(n)]
+        Yd = _distinct_supports(_snap(Y.reshape(b * rows, rows)))
+        Yd = Yd / np.sum(np.abs(Yd), axis=1, keepdims=True)
         G = np.concatenate([Yd] + per_k).T
         target = np.concatenate([np.zeros((Yd.shape[0], n))] + [
             np.broadcast_to(np.eye(n)[k], (z.shape[0], n)) for k, z in enumerate(per_k)
         ])
         self.bases = b
+        self.subsets = subsets.shape[0]
+        self.exact = self.subsets == math.comb(rows, n)
         self.circuits = Yd.shape[0]
         self.per_coordinate = tuple(z.shape[0] for z in per_k)
         self.starts = np.concatenate([[0], np.cumsum(self.per_coordinate)[:-1]])
@@ -406,47 +286,10 @@ def _certificate_hull(cert, l, u):
     return np.where(touch, mid, lo), np.where(touch, mid, hi), empty
 
 
-def contract_affine(A, x0, c, tol=_SWEEP_TOL, max_sweeps=_MAX_SWEEPS):
-    """Contract the box x0 against the affine range constraints A x in c.
-
-    Parameters
-    ----------
-    A : (m, n) array of reals
-    x0 : Box of dimension n, the prior enclosure of x
-    c : Box of dimension m, one constraint interval per row of A
-    tol : float
-        Relative stall threshold; sweeping stops once no component width
-        shrinks by more than tol times the current largest width.
-    max_sweeps : int
-        Hard cap on the number of forward-backward sweeps.
-
-    Returns a Box contained in x0 that still contains every x in x0 with
-    A x in c, or EMPTY when the constraints are proven infeasible.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    m, n = A.shape
-    if x0.dim != n or c.dim != m:
-        raise ValueError("shape mismatch between A, x0, and c")
-    if tol <= 0.0 or max_sweeps < 1:
-        raise ValueError("tol must be positive and max_sweeps at least 1")
-    if x0.is_empty or c.is_empty:
-        return Box.empty(n)
-
-    lo = x0.lo[None, :].copy()
-    hi = x0.hi[None, :].copy()
-    empty = _contract_affine_batch(A, lo, hi, c.lo[None, :], c.hi[None, :], tol, max_sweeps)
-    if empty[0]:
-        return Box.empty(n)
-    return Box(lo[0], hi[0])
-
-
 def box_hull_lp(A, x0, c):
     """Exact box hull of {x in x0 : A x in c} via 2n linear programs.
 
-    Slower than contract_affine but tight: each face of the returned box
-    touches the feasible polytope.  Returns EMPTY when the polytope is
+    Each face of the returned box touches the feasible polytope.  Returns EMPTY when the polytope is
     empty.  The test oracle for the decoder's certificate hull; requires
     scipy.
     """

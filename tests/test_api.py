@@ -23,9 +23,9 @@ PUBLIC = {
     "DecoderState", "ExperimentConfig", "FLAG_CLEAN", "FLAG_NO_CONSISTENT",
     "FLAG_PARITY_EXHAUSTED", "FilterBank", "Interval", "ParityCheck", "Polyphase",
     "QuantizerBank", "SnrPoint", "StepResult", "allocate_rates", "analyze",
-    "box_hull_lp", "bpsk_ber", "consistency_box", "contract_affine",
-    "decode_classical", "decode_sequence", "decode_streams", "default_filter_bank",
-    "gen_ar1", "load_config", "load_filter_bank", "load_pgm_lines", "matvec_box",
+    "box_hull_lp", "bpsk_ber", "consistency_box", "decode_classical", "decode_sequence",
+    "decode_streams", "default_filter_bank", "gen_ar1", "load_config", "load_filter_bank",
+    "load_pgm_lines", "matvec_box",
     "parity_from_polyphase", "parity_test", "parse_config", "polyphase_from_filters",
     "reconstruction_snr", "run_sweep", "simulate_point", "step", "subband_ranges",
     "synthesize_ls", "top_candidates", "verify_annihilation", "write_csv",
@@ -34,9 +34,9 @@ PUBLIC = {
 # module-level names the benchmark wraps or substitutes, by module
 CALLED_AT_RUN_TIME = {
     decoder: [
-        "_contract_affine_batch", "_certificate_hull", "top_candidates", "_consistency_batch",
-        "_history_reach", "_parity_residual_bounds", "_parity_pass", "_fallback", "step",
-        "synthesize_ls", "decode_classical", "decode_sequence",
+        "_certificate_hull", "top_candidates", "_consistency_batch", "_history_reach",
+        "_parity_residual_bounds", "_parity_pass", "_fallback", "step", "synthesize_ls",
+        "decode_classical", "decode_sequence",
     ],
     experiment: [
         "synthesize_ls", "decode_sequence", "decode_classical", "analyze", "gen_ar1",
@@ -60,11 +60,6 @@ def test_public_names():
 )
 def test_names_called_at_run_time(owner, name):
     assert callable(getattr(owner, name))
-
-
-def test_contractor_takes_its_group_positionally():
-    params = list(inspect.signature(decoder._contract_affine_batch).parameters)
-    assert params == ["A", "lo", "hi", "c_lo", "c_hi", "tol", "max_sweeps", "group"]
 
 
 def test_config_fields():

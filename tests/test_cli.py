@@ -47,16 +47,15 @@ def test_bank_check_prints_consistency_data(capsys):
     assert main(["bank", "check", "default"]) == 0
     out = capsys.readouterr().out
     assert "consistency: 129 bases of 210 row subsets, 50 circuits" in out
-    assert "distinct certificates per coordinate 24, 24, 24, 24; exact hull, no sweep" in out
+    assert "distinct certificates per coordinate 24, 24, 24, 24; exact hull" in out
 
 
 def test_bank_check_above_the_cap(capsys):
     wide = Path(__file__).parent / "data" / "walsh_12x8.txt"
     assert main(["bank", "check", str(wide)]) == 0
     out = capsys.readouterr().out
-    assert "consistency: 125970 row subsets exceed the cap of 4096" in out
-    assert "pinv prefilter and forward-backward sweep" in out
-    assert "no sweep" not in out
+    assert "consistency: 97 bases of 97 row subsets, 140 circuits" in out
+    assert "distinct certificates per coordinate 13, 13, 13, 13, 13, 13, 13, 13; outer hull" in out
 
 
 def test_bank_check_missing_file(capsys):

@@ -165,12 +165,12 @@ class TestConsistencyBox:
             y = p.poly.E[0] @ x_cur + p.poly.E[1] @ x_prev
             u = p.q.quantize_block(y.reshape(1, -1))[0]
             state = one_stream_state(Box.uniform(-1.0, 1.0, 2), [Box.point(x_prev)])
-            sweep = consistency_box(u, state, p.poly, p.q)
+            box = consistency_box(u, state, p.poly, p.q)
             reach = matvec_box(p.poly.E[1], Box.point(x_prev))
             lo, hi = p.q.cell_bounds(u)
             lp = box_hull_lp(p.poly.E[0], state.input_box, Box(lo - reach.hi, hi - reach.lo))
-            assert np.all(lp.lo >= sweep.lo - 1e-7)
-            assert np.all(lp.hi <= sweep.hi + 1e-7)
+            assert np.all(lp.lo >= box.lo - 1e-7)
+            assert np.all(lp.hi <= box.hi + 1e-7)
 
     def test_never_excludes_sampled_reachable_indexes(self, tiny_pipe):
         p = tiny_pipe
@@ -267,6 +267,12 @@ class TestStep:
             # the history now carries this instant's boxes
             assert np.array_equal(state.x_lo[0, 0], res.x_box.lo)
             assert np.array_equal(state.y_hi[0, 0], res.y_box.hi)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_input_box_must_match_the_bank(self, default_pipe, dim):
+        p = default_pipe
+        with pytest.raises(ValueError, match=f"input box has dimension {dim}, the bank's N is 4"):
+            DecoderState.initial(Box.uniform(-4.0, 4.0, dim), p.poly, p.parity)
 
     def test_skips_inconsistent_leader(self):
         poly, q = repeated_scalar_setup()
@@ -487,10 +493,14 @@ class TestSoftBitValidation:
         r = np.full((10, p.q.total_bits), np.nan)
         with pytest.raises(ValueError, match="finite"):
             decode_sequence(r, p.poly, p.parity, p.q, ch, DecoderConfig(), p.x_range)
+        with pytest.raises(ValueError, match="finite"):
+            decode_classical(r, p.poly, p.q)
         r = np.ones((10, p.q.total_bits))
         r[4, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
             decode_sequence(r, p.poly, p.parity, p.q, ch, DecoderConfig(), p.x_range)
+        with pytest.raises(ValueError, match="finite"):
+            decode_classical(r, p.poly, p.q)
 
 
 class TestLockstep:

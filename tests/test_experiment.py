@@ -203,7 +203,7 @@ def test_golden_sweep_csv():
 
 
 def test_golden_sweep_csv_wide_bank(monkeypatch):
-    """The same sweep on the 12x8 Walsh bank, byte for byte as first
+    """The same sweep on the 12x8 Walsh bank, byte for byte as
     recorded; the bank is named relative to tests/data, as in the CSV."""
     data = Path(__file__).parent / "data"
     monkeypatch.chdir(data)

@@ -1,14 +1,13 @@
 """The consistency hull from LP-dual certificates: the enumerated bank
-data, the capped set of banks above the cap, and property tests against
-the scipy LP hull over random small banks."""
+data, the bases near the input box that banks above the cap get, and
+property tests against the scipy LP hull over random small banks."""
 
-import math
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import BankPipeline, noisy_streams, one_stream_state
+from conftest import noisy_streams, one_stream_state
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +16,8 @@ from ofbdec import (
     ChannelModel,
     DecoderConfig,
     DecoderState,
-    Interval,
     Polyphase,
     consistency_box,
-    decode_sequence,
     load_filter_bank,
     polyphase_from_filters,
     step,
@@ -28,7 +25,6 @@ from ofbdec import (
 )
 from ofbdec import decoder, filterbank
 from ofbdec.decoder import _consistency_batch, _history_reach
-from ofbdec.filterbank import HULL_SUBSET_CAP
 from ofbdec.interval import HullCertificates, _certificate_hull, box_hull_lp
 
 DATA = Path(__file__).parent / "data"
@@ -39,8 +35,8 @@ def walsh_poly():
 
 
 def capped_certificates(poly):
-    """The certificate set that banks above HULL_SUBSET_CAP get, built
-    for any bank by lowering the cap."""
+    """The certificate set of levels 0 and 1 alone, which banks above
+    HULL_SUBSET_CAP get, built for any bank by lowering the cap."""
     with mock.patch.object(filterbank, "HULL_SUBSET_CAP", 0):
         return Polyphase(poly.E).consistency_certificates()
 
@@ -65,63 +61,24 @@ class TestEnumeration:
         assert supports == [2] + [3] * 7
 
     def test_wide_bank_above_cap(self):
-        """Above the cap: per coordinate the input-box row and the pinv
-        row, no circuits, each column a dual certificate within slack."""
+        """Above the cap: the bases of levels 0 and 1 (the input box, and
+        each swap of one box row for one subband row), each column a
+        circuit or a dual certificate within slack."""
         poly = walsh_poly()
         cert = poly.consistency_certificates()
         assert not cert.exact
-        assert (cert.bases, cert.circuits) == (0, 0)
-        assert cert.per_coordinate == (2,) * 8
+        assert (cert.subsets, cert.bases, cert.circuits) == (1 + 8 * 12, 97, 140)
+        assert cert.per_coordinate == (13,) * 8
+        assert cert.G.shape == (20, 140 + 8 * 13)
         A = np.vstack([np.eye(8), poly.E[0]])
+        Y = cert.G[:, :cert.circuits]
+        assert np.all(np.sum(np.abs(Y.T @ A), axis=1) <= cert.slack)
         for k in range(8):
-            Z = cert.G[:, cert.starts[k]:cert.starts[k] + 2]
+            start = cert.circuits + cert.starts[k]
+            Z = cert.G[:, start:start + cert.per_coordinate[k]]
             assert np.all(np.sum(np.abs(Z.T @ A - np.eye(8)[k]), axis=1) <= cert.slack)
         assert cert.slack < 1e-13
         assert poly.consistency_certificates() is cert
-
-    def test_wide_bank_box_is_the_pinv_prefilter(self):
-        """On the Walsh bank the capped set's box is the input box
-        intersected with the interval image pinv(E_0) [c], computed here
-        from left_inverse(), up to the slack widening, with the same
-        EMPTY verdicts."""
-        poly = walsh_poly()
-        cert = poly.consistency_certificates()
-        rng = np.random.default_rng(5)
-        R, N, M = 400, poly.N, poly.M
-        x = rng.uniform(-4.0, 4.0, (R, N))
-        shift = rng.normal(0.0, 3.0, (R, M)) * (rng.random((R, 1)) < 0.5)
-        rad = rng.uniform(0.1, 0.5, (R, M))
-        c_lo = x @ poly.E[0].T + shift - rad
-        c_hi = c_lo + 2.0 * rad
-        W = poly.left_inverse()
-        px_c = 0.5 * (c_lo + c_hi) @ W.T
-        px_r = 0.5 * (c_hi - c_lo) @ np.abs(W).T
-        ref_lo = np.maximum(-4.0, px_c - px_r)
-        ref_hi = np.minimum(4.0, px_c + px_r)
-        gap = ref_lo - ref_hi
-        ref_empty = np.any(gap > 1e-12 * (1.0 + np.abs(ref_lo) + np.abs(ref_hi)), axis=1)
-        mid = 0.5 * (ref_lo + ref_hi)
-        ref_lo, ref_hi = np.where(gap > 0.0, mid, ref_lo), np.where(gap > 0.0, mid, ref_hi)
-        l = np.hstack([np.full((R, N), -4.0), c_lo])
-        u = np.hstack([np.full((R, N), 4.0), c_hi])
-        lo, hi, empty = _certificate_hull(cert, l, u)
-        assert np.array_equal(empty, ref_empty)
-        assert 0 < empty.sum() < R
-        # the widening slack * scale, plus the rounding of the products
-        scale = 1.0 + np.max(np.abs(0.5 * (l + u)), axis=1) + np.max(0.5 * (u - l), axis=1)
-        tol = 2.0 * cert.slack * scale
-        assert np.all(np.abs(lo - ref_lo) <= tol[:, None])
-        assert np.all(np.abs(hi - ref_hi) <= tol[:, None])
-
-    def test_rank_deficient_wide_bank_gets_box_rows_only(self):
-        E = walsh_poly().E.copy()
-        E[0, :, 7] = E[0, :, 0]
-        cert = Polyphase(E).consistency_certificates()
-        assert math.comb(8 + 12, 8) > HULL_SUBSET_CAP
-        assert not cert.exact
-        assert (cert.circuits, cert.per_coordinate) == (0, (1,) * 8)
-        assert np.array_equal(cert.G, np.eye(20, 8))
-        assert cert.slack == 0.0
 
     def test_columns_are_dual_certificates(self, default_pipe):
         E0 = default_pipe.poly.E[0]
@@ -145,13 +102,13 @@ class TestEnumeration:
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError, match="no nonsingular basis"):
-            HullCertificates(np.array([[1.0, 1.0], [2.0, 2.0]]))
+            HullCertificates(np.array([[1.0, 1.0], [2.0, 2.0]]), [[0, 1]])
 
     def test_prefilter_not_used_under_the_cap(self, default_pipe, monkeypatch):
         p = default_pipe
 
         def no_pinv():
-            raise AssertionError("pinv prefilter ran")
+            raise AssertionError("the consistency step called left_inverse")
 
         monkeypatch.setattr(p.poly, "left_inverse", no_pinv)
         state = one_stream_state(Box.uniform(-4.0, 4.0, 4), [Box.point(np.zeros(4))])
@@ -249,10 +206,9 @@ def test_certificate_box_is_the_lp_hull(poly, seed):
 @PROPERTY
 @given(poly=small_banks(), seed=st.integers(0, 2**32 - 1))
 def test_capped_set_encloses_the_lp_hull(poly, seed):
-    """The capped set's box contains the LP hull, and it never claims
-    EMPTY for a feasible candidate."""
+    """The box of the bases near the input box contains the LP hull,
+    and it never claims EMPTY for a feasible candidate."""
     cert = capped_certificates(poly)
-    assert not cert.exact and cert.circuits == 0
     state, cell_lo, cell_hi = instance(poly, seed)
     hulls, c_lo, c_hi = lp_hulls(poly, state, cell_lo, cell_hi)
     lo, hi, empty = _certificate_hull(cert, *offsets(state, c_lo, c_hi))
@@ -272,43 +228,7 @@ def test_consistency_is_the_lp_hull(poly, seed):
     assert_equals_hull(lo[0], hi[0], empty[0], hulls)
 
 
-# -- which banks run the sweep, and the hull on decoded streams -------------
-
-
-class TestDispatch:
-    """Banks under the cap take the certificate hull alone; only banks
-    above it run the pinv prefilter and the forward-backward sweep."""
-
-    @pytest.mark.parametrize("bank", ["tiny_pipe", "default_pipe"])
-    def test_no_sweep_under_the_cap(self, bank, request, monkeypatch):
-        p = request.getfixturevalue(bank)
-
-        def no_sweep(*args):
-            raise AssertionError("forward-backward sweep ran")
-
-        monkeypatch.setattr(decoder, "_contract_affine_batch", no_sweep)
-        channels, rs = noisy_streams(p, 40 * p.poly.N, (7.0,), seed=3)
-        x_hat, diag = decode_sequence(
-            rs[0], p.poly, p.parity, p.q, channels[0], DecoderConfig(), p.x_range
-        )
-        assert x_hat.shape == (rs[0].shape[0] * p.poly.N,)
-        assert np.all(diag.n_consistent > 0)
-
-    def test_wide_bank_runs_the_sweep(self, monkeypatch):
-        p = BankPipeline(load_filter_bank(DATA / "walsh_12x8.txt"), Interval(-4.0, 4.0), 0.72)
-        calls = []
-        original = decoder._contract_affine_batch
-
-        def counted(*args):
-            calls.append(args[1].shape[0])
-            return original(*args)
-
-        monkeypatch.setattr(decoder, "_contract_affine_batch", counted)
-        channels, rs = noisy_streams(p, 10 * p.poly.N, (7.0,), seed=3)
-        cfg = DecoderConfig(n_max=8)
-        decode_sequence(rs[0], p.poly, p.parity, p.q, channels[0], cfg, p.x_range)
-        # one call per instant, over that instant's 8 candidates
-        assert calls == [8] * rs[0].shape[0]
+# -- the hull on decoded streams -------------------------------------------
 
 
 def test_consistency_on_a_decoded_stream_is_the_lp_hull(default_pipe):

@@ -1,28 +1,42 @@
-"""Intervals, boxes, and the affine contractor."""
+"""Intervals, boxes, and the LP-dual certificate hull."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from ofbdec.interval import (
     Box,
+    HullCertificates,
     Interval,
-    _contract_affine_batch,
+    _certificate_hull,
     box_hull_lp,
-    contract_affine,
     matvec_box,
 )
 
 
+def hull(A, x0, c):
+    """Certificate hull of {x in x0 : A x in c}, every row subset of
+    [I; A] enumerated, so exact."""
+    n = x0.dim
+    if x0.is_empty or c.is_empty:
+        return Box.empty(n)
+    stacked = np.vstack([np.eye(n), A])
+    cert = HullCertificates(stacked, list(itertools.combinations(range(stacked.shape[0]), n)))
+    lo, hi, empty = _certificate_hull(cert, np.r_[x0.lo, c.lo], np.r_[x0.hi, c.hi])
+    return Box.empty(n) if empty else Box(lo, hi)
+
+
 def meet(a, b):
-    """Intersection of two boxes, as the contractor computes it: a
-    contracted against the identity constraint x in b."""
-    return contract_affine(np.eye(a.dim), a, b)
+    """Intersection of two boxes, as the certificate hull computes it:
+    the hull of {x in a : x in b}, on A = [I; I]."""
+    return hull(np.eye(a.dim), a, b)
 
 
 class TestInterval:
     """Interval is the validated (lo, hi) pair; sums, scalings and
     intersections of intervals are checked on the operations that
-    compute them, matvec_box and the contractor, over 1-d boxes."""
+    compute them, matvec_box and the certificate hull, over 1-d boxes."""
 
     def test_add(self):
         # [0, 1] + [2, 3], the image of the box under the row (1, 1)
@@ -74,6 +88,10 @@ class TestBox:
         got = meet(Box([0.0, 0.0], [1.0, 1.0]), Box([0.0, 2.0], [1.0, 3.0]))
         assert got.is_empty and np.all(np.isnan(got.lo))
         assert not meet(Box([0.0, 0.0], [1.0, 3.0]), Box([0.0, 2.0], [1.0, 3.0])).is_empty
+        # Box.empty is the only empty box: crossed or NaN endpoints are rejected
+        for lo in ([2.0, 0.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="lo <= hi"):
+                Box(lo, [1.0, 1.0])
 
     def test_center_width_componentwise(self):
         b = Box(np.array([0.0, -2.0]), np.array([1.0, 2.0]))
@@ -138,121 +156,6 @@ class TestMatvecBox:
         assert np.all(z >= out.lo - 1e-12) and np.all(z <= out.hi + 1e-12)
 
 
-class TestContractAffine:
-    def test_single_variable_projection(self):
-        got = contract_affine(
-            np.array([[1.0]]), Box.uniform(0, 10, 1),
-            Box(np.array([2.0]), np.array([3.0])),
-        )
-        assert np.allclose(got.lo, [2.0]) and np.allclose(got.hi, [3.0])
-
-    def test_backward_sweep_sum(self):
-        got = contract_affine(
-            np.array([[1.0, 1.0]]), Box.uniform(0, 1, 2),
-            Box(np.array([1.5]), np.array([2.0])),
-        )
-        assert np.allclose(got.lo, [0.5, 0.5])
-        assert np.allclose(got.hi, [1.0, 1.0])
-
-    def test_forward_disjoint_is_empty(self):
-        got = contract_affine(
-            np.array([[1.0, -1.0]]), Box.uniform(0, 1, 2),
-            Box(np.array([5.0]), np.array([6.0])),
-        )
-        assert got.is_empty
-
-    def test_result_inside_prior(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            m, n = rng.integers(1, 7), rng.integers(1, 5)
-            A = rng.normal(size=(m, n))
-            x0 = Box(rng.uniform(-2, 0, n), rng.uniform(0, 2, n))
-            c = Box(rng.uniform(-2, 0, m), rng.uniform(0, 2, m))
-            got = contract_affine(A, x0, c)
-            if not got.is_empty:
-                assert np.all(got.lo >= x0.lo - 1e-12)
-                assert np.all(got.hi <= x0.hi + 1e-12)
-
-    def test_soundness_against_sampling(self):
-        # no sampled feasible point may fall outside the contracted box,
-        # and EMPTY may only be returned when no sampled point fits
-        rng = np.random.default_rng(2)
-        checked = 0
-        for _ in range(60):
-            m, n = rng.integers(1, 7), rng.integers(1, 5)
-            A = rng.normal(size=(m, n))
-            x0 = Box(rng.uniform(-2, 0, n), rng.uniform(0, 2, n))
-            c = Box(rng.uniform(-1.5, 0, m), rng.uniform(0, 1.5, m))
-            got = contract_affine(A, x0, c)
-            x = rng.uniform(x0.lo, x0.hi, size=(100_000, n))
-            z = x @ A.T
-            feas = np.all((z >= c.lo) & (z <= c.hi), axis=1)
-            if got.is_empty:
-                assert not np.any(feas)
-                continue
-            pts = x[feas]
-            if pts.size:
-                checked += 1
-                assert np.all(pts >= got.lo - 1e-9)
-                assert np.all(pts <= got.hi + 1e-9)
-        assert checked >= 10  # the draw must actually exercise the check
-
-    def test_idempotent_at_fixpoint(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            m, n = rng.integers(1, 7), rng.integers(1, 5)
-            A = rng.normal(size=(m, n))
-            x0 = Box(rng.uniform(-2, 0, n), rng.uniform(0, 2, n))
-            c = Box(rng.uniform(-1.5, 0, m), rng.uniform(0, 1.5, m))
-            once = contract_affine(A, x0, c, tol=1e-6)
-            if once.is_empty:
-                continue
-            twice = contract_affine(A, once, c, tol=1e-6)
-            assert not twice.is_empty
-            tol = 1e-6 * np.maximum(1.0, once.width)
-            assert np.all(once.lo - tol <= twice.lo)
-            assert np.all(twice.hi <= once.hi + tol)
-
-    def test_groups_stop_at_their_own_stall(self):
-        # groups contracted together give, bit for bit, the boxes and
-        # EMPTY flags each group gets alone, though they stall after
-        # different numbers of sweeps
-        rng = np.random.default_rng(6)
-        m, n, G, K = 6, 4, 5, 7
-        A = rng.normal(size=(m, n))
-        lo = rng.uniform(-2, 0, (G * K, n))
-        hi = rng.uniform(0, 2, (G * K, n))
-        # constraint widths scaled per group, so groups stall at different sweeps
-        c_lo = rng.uniform(-1.5, 0, (G * K, m)) * np.repeat(rng.uniform(0.1, 1.0, G), K)[:, None]
-        c_hi = rng.uniform(0, 1.5, (G * K, m))
-        alone = []
-        for g in range(G):
-            rows = slice(g * K, (g + 1) * K)
-            a_lo, a_hi = lo[rows].copy(), hi[rows].copy()
-            empty = _contract_affine_batch(A, a_lo, a_hi, c_lo[rows], c_hi[rows], 1e-6, 50)
-            alone.append((a_lo, a_hi, empty))
-        t_lo, t_hi = lo.copy(), hi.copy()
-        empty = _contract_affine_batch(A, t_lo, t_hi, c_lo, c_hi, 1e-6, 50, group=K)
-        assert empty.tobytes() == np.concatenate([e for _, _, e in alone]).tobytes()
-        assert t_lo.tobytes() == np.concatenate([a for a, _, _ in alone]).tobytes()
-        assert t_hi.tobytes() == np.concatenate([b for _, b, _ in alone]).tobytes()
-        # one group for all rows sweeps on while any row still contracts
-        o_lo, o_hi = lo.copy(), hi.copy()
-        _contract_affine_batch(A, o_lo, o_hi, c_lo, c_hi, 1e-6, 50)
-        assert not np.array_equal(o_lo, t_lo) or not np.array_equal(o_hi, t_hi)
-
-    def test_empty_prior_propagates(self):
-        got = contract_affine(
-            np.array([[1.0, 1.0]]), Box.empty(2),
-            Box(np.array([0.0]), np.array([1.0])),
-        )
-        assert got.is_empty
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            contract_affine(np.eye(2), Box.uniform(0, 1, 3), Box.uniform(0, 1, 2))
-
-
 class TestBoxHullLP:
     def test_matches_contractor_on_exact_case(self):
         A = np.array([[1.0, 1.0]])
@@ -276,21 +179,22 @@ class TestBoxHullLP:
             A = rng.normal(size=(m, n))
             x0 = Box(rng.uniform(-2, 0, n), rng.uniform(0, 2, n))
             c = Box(rng.uniform(-1.5, 0, m), rng.uniform(0, 1.5, m))
-            hull = box_hull_lp(A, x0, c)
-            fb = contract_affine(A, x0, c)
+            lp = box_hull_lp(A, x0, c)
+            fb = hull(A, x0, c)
             x = rng.uniform(x0.lo, x0.hi, size=(50_000, n))
             z = x @ A.T
             feas = np.all((z >= c.lo) & (z <= c.hi), axis=1)
-            if hull.is_empty:
+            if lp.is_empty:
                 assert not np.any(feas)
                 continue
             compared += 1
-            # the exact hull is never wider than the sweep contractor
+            # the certificate hull, the decoder's consistency step, never
+            # cuts into the LP hull
             assert not fb.is_empty
-            assert np.all(hull.lo >= fb.lo - 1e-7)
-            assert np.all(hull.hi <= fb.hi + 1e-7)
+            assert np.all(lp.lo >= fb.lo - 1e-7)
+            assert np.all(lp.hi <= fb.hi + 1e-7)
             pts = x[feas]
             if pts.size:
-                assert np.all(pts >= hull.lo - 1e-7)
-                assert np.all(pts <= hull.hi + 1e-7)
+                assert np.all(pts >= lp.lo - 1e-7)
+                assert np.all(pts <= lp.hi + 1e-7)
         assert compared >= 10
