@@ -30,6 +30,8 @@ class ChannelModel:
     """BPSK/AWGN channel at a fixed SNR with seeded noise substreams."""
 
     def __init__(self, snr_db, seed=0, noiseless=False):
+        if not noiseless and not math.isfinite(float(snr_db)):
+            raise ValueError(f"snr_db must be finite unless noiseless, got {snr_db!r}")
         self.snr_db = None if noiseless else float(snr_db)
         self.noiseless = bool(noiseless)
         self.sigma2 = 0.0 if noiseless else 10.0 ** (-float(snr_db) / 10.0)

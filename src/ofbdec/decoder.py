@@ -6,13 +6,19 @@ the channel's soft outputs, (2) discards candidates whose quantization
 cells cannot be reached by any admissible input signal given the boxes
 decoded for the previous instants, (3) optionally also requires
 candidates to be compatible with the parity bank, and (4) returns the
-first survivor in likelihood order together with its signal box.
+first survivor in likelihood order together with its signal box,
+computed for that survivor alone.
 
-The consistency test (2) bounds the polytope of admissible current
-input blocks, {x in input box : E_0 x in cells - history reach}, with
-LP-dual certificates cached per bank (Polyphase.consistency_certificates)
-in one step of two matrix products: on banks small enough to enumerate
-they give its exact box hull, and Farkas circuits prove it empty;
+The consistency test (2) reads the polytope of admissible current
+input blocks, {x in input box : E_0 x in cells - history reach},
+through LP-dual certificates cached per bank
+(Polyphase.consistency_certificates), in two steps.  The verdict step
+runs on every candidate: one matrix product over the Farkas circuits
+proves the candidate EMPTY or keeps it.  The box step runs in (4) on
+the first survivor alone: one matrix product over the certificates
+bounds its box, and bounds that cross also prove it EMPTY, in which
+case the next survivor is taken.  On banks small enough to enumerate
+the circuits decide EMPTY exactly and the box is the exact hull;
 larger banks get the certificates of the bases near the input box,
 whose box is a sound outer bound.  The scipy LP hull in the interval
 module serves the tests as an oracle.
@@ -20,7 +26,7 @@ module serves the tests as an oracle.
 Decoding runs in lockstep: B independent streams advance one instant at
 a time together, their histories held as arrays of shape (B, L, N) and
 (B, L', M), so each of the steps above is one numpy pass over all B*K
-candidates.  The candidate lists of a stream are built beforehand, for
+candidates, or over the B picks for the box step.  The candidate lists of a stream are built beforehand, for
 all instants at once, and shared by every decoder variant that reads
 the same soft bits.  A single stream (decode_sequence, step) is the
 case B = 1.  Every matrix product keeps the shape it has for one
@@ -49,7 +55,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .filterbank import synthesize_ls
-from .interval import Box, _certificate_hull
+from .interval import Box, _certificate_box, _circuit_empty
 
 __all__ = [
     "FLAG_CLEAN",
@@ -92,6 +98,14 @@ def _check_integer(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_count(name, value):
+    """Reject a count that is not an integer at or above its floor in
+    _CONFIG_FLOORS."""
+    _check_integer(name, value)
+    if value < _CONFIG_FLOORS[name]:
+        raise ValueError(f"{name} must be at least {_CONFIG_FLOORS[name]}")
+
+
 def _check_bool(name, value):
     """Reject a config flag that is not a bool (or numpy bool)."""
     if not isinstance(value, (bool, np.bool_)):
@@ -105,11 +119,8 @@ class DecoderConfig:
     window: int = 8  # synthesis window for the final point estimate
 
     def __post_init__(self):
-        for name, floor in _CONFIG_FLOORS.items():
-            value = getattr(self, name)
-            _check_integer(name, value)
-            if value < floor:
-                raise ValueError(f"{name} must be at least {floor}")
+        for name in _CONFIG_FLOORS:
+            _check_count(name, getattr(self, name))
         _check_bool("use_pct", self.use_pct)
 
 
@@ -344,6 +355,7 @@ def top_candidates(r, q, ch, n_max):
 
     Returns a list of Candidate, best first.
     """
+    _check_count("n_max", n_max)
     r = np.asarray(r, dtype=float).reshape(1, -1)
     u, scores = _candidate_lists(r, q, ch.effective_sigma2(), n_max)
     return [
@@ -367,21 +379,23 @@ def _history_reach(state, poly):
 
 
 def _consistency_batch(cell_lo, cell_hi, state, poly):
-    """Box of the input blocks that can reach each candidate's cells,
-    for every stream at once.
+    """Offsets of the polytope of input blocks that can reach each
+    candidate's cells, and the verdict step on them, for every stream
+    at once.
 
     cell_lo, cell_hi are the (B, K, M) cell endpoints of each stream's
-    K candidates.  Returns (lo, hi, empty): (B, K, N) endpoint arrays
-    and the (B, K) mask of candidates proven inconsistent.
-
-    The polytope {x : x in input box, E_0 x in [c]}, [c] being the cells
-    minus the history reach, is bounded by one step over the bank's
-    consistency certificates: two matrix products.  On banks whose
-    subsets all fit under HULL_SUBSET_CAP the set is exact: its box is
-    the polytope's hull, and its circuits prove EMPTY exactly the
-    candidates no input reaches.  On larger banks the box encloses the
-    hull and EMPTY is proven only where a circuit of the bases near the
-    input box reaches.
+    K candidates.  The polytope is {x : l <= [I_N; E_0] x <= u}: x in
+    the input box and E_0 x in [c], [c] being the cells minus the
+    history reach.  Returns (l, u, empty): the (B, K, N + M) offsets and
+    the (B, K) mask of candidates that a circuit of the bank's
+    consistency certificates proves inconsistent (interval._circuit_empty,
+    one matrix product).  On banks whose subsets all fit under
+    HULL_SUBSET_CAP the set is exact and its circuits prove EMPTY
+    exactly the candidates no input reaches.  On larger banks EMPTY is
+    proven only where a circuit of the bases near the input box
+    reaches.  The box of a candidate is the box step on its offsets
+    (interval._certificate_box), which _advance runs on each stream's
+    pick alone.
     """
     B, K, _ = cell_lo.shape
     N = poly.N
@@ -389,10 +403,9 @@ def _consistency_batch(cell_lo, cell_hi, state, poly):
     c_lo = cell_lo - reach_hi[:, None, :]
     c_hi = cell_hi - reach_lo[:, None, :]
     input_box = state.input_box
-    cert = poly.consistency_certificates()
     l = np.concatenate([np.broadcast_to(input_box.lo, (B, K, N)), c_lo], axis=2)
     u = np.concatenate([np.broadcast_to(input_box.hi, (B, K, N)), c_hi], axis=2)
-    return _certificate_hull(cert, l, u)
+    return l, u, _circuit_empty(poly.consistency_certificates(), l, u)
 
 
 def consistency_box(u, state, poly, q):
@@ -400,10 +413,15 @@ def consistency_box(u, state, poly, q):
     the cells of index vector u, given the decoded history; EMPTY when
     the candidate is proven inconsistent.  On a bank under the cap this
     is the exact box hull of those inputs; above it, an outer bound of
-    that hull.  The one-candidate case of _consistency_batch."""
+    that hull.  The one-candidate case of the two steps _advance takes:
+    the verdict step of _consistency_batch, then the box step, whose
+    crossed bounds also prove EMPTY."""
     cell_lo, cell_hi = q.cell_bounds(np.asarray(u, dtype=np.int64).reshape(1, 1, -1))
-    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
+    l, u, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
     if empty[0, 0]:
+        return Box.empty(poly.N)
+    lo, hi, crossed = _certificate_box(poly.consistency_certificates(), l, u)
+    if crossed[0, 0]:
         return Box.empty(poly.N)
     return Box(lo[0, 0], hi[0, 0])
 
@@ -465,34 +483,46 @@ def _advance(state, u, cell_lo, cell_hi, use_pct, poly, parity, q):
 
     u holds each stream's (B, K, M) candidates in likelihood order and
     cell_lo, cell_hi their cells; use_pct is a (B,) mask.  Candidates
-    are scanned in likelihood order: the consistency test prunes first;
-    on streams with use_pct the parity test then picks the first
+    are scanned in likelihood order: the consistency verdicts prune
+    first; on streams with use_pct the parity test then picks the first
     survivor it accepts (falling back to the first survivor with an
-    error flag when it accepts none).  When consistency rejects
-    everything, the flagged hard-decision fallback is returned.
+    error flag when it accepts none).  The box step then bounds each
+    stream's pick alone, in (B, 1, N + M) products whose rows round as
+    they do for one stream; a pick whose bounds cross is EMPTY too, and
+    its stream picks again.  When consistency rejects everything, the
+    flagged hard-decision fallback is returned.
 
     Returns (u_hat, x_lo, x_hi, y_lo, y_hi, flag, pick, n_consistent),
     one row per stream; pick is the 0-based list position decided.
     """
     B = u.shape[0]
     rows = np.arange(B)
-    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
+    l, h, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
+    cert = poly.consistency_certificates()
     live = ~empty
-    n_consistent = np.count_nonzero(live, axis=1)
-    pick = np.argmax(live, axis=1)
-    flag = np.where(n_consistent > 0, FLAG_CLEAN, FLAG_NO_CONSISTENT)
-    par = np.flatnonzero(use_pct & (n_consistent > 0))
+    par = np.flatnonzero(use_pct & live.any(axis=1))
+    ok = np.zeros_like(live)  # live candidates the parity test accepts
     if par.size:
         plo, phi = _parity_residual_bounds(
             cell_lo[par], cell_hi[par], state.y_lo[par], state.y_hi[par], parity
         )
-        ok = np.zeros_like(live[par])
-        ok[live[par]] = _parity_pass(plo[live[par]], phi[live[par]])
+        tested = np.zeros_like(live)
+        tested[par] = live[par]
+        ok[tested] = _parity_pass(plo[live[par]], phi[live[par]])
+    while True:
+        n_consistent = np.count_nonzero(live, axis=1)
+        flag = np.where(n_consistent > 0, FLAG_CLEAN, FLAG_NO_CONSISTENT)
+        ok &= live
         found = ok.any(axis=1)
-        pick[par] = np.where(found, np.argmax(ok, axis=1), pick[par])
-        flag[par] = np.where(found, FLAG_CLEAN, FLAG_PARITY_EXHAUSTED)
-    x_lo = lo[rows, pick]
-    x_hi = hi[rows, pick]
+        by_parity = use_pct & (n_consistent > 0)
+        pick = np.where(by_parity & found, np.argmax(ok, axis=1), np.argmax(live, axis=1))
+        flag = np.where(by_parity & ~found, FLAG_PARITY_EXHAUSTED, flag)
+        x_lo, x_hi, crossed = _certificate_box(cert, l[rows, pick][:, None], h[rows, pick][:, None])
+        crossed = crossed[:, 0] & (n_consistent > 0)
+        if not crossed.any():
+            break
+        live[rows[crossed], pick[crossed]] = False
+    x_lo, x_hi = x_lo[:, 0], x_hi[:, 0]
     fb = np.flatnonzero(n_consistent == 0)
     if fb.size:
         x_lo[fb], x_hi[fb] = _fallback(

@@ -256,34 +256,57 @@ def _distinct_supports(V):
     return V[np.sort(first)]
 
 
-def _certificate_hull(cert, l, u):
-    """Box hull of {x : l <= A x <= u} for each row of the (..., rows)
-    offset arrays l, u, from the certificates of A.
-
-    Returns (lo, hi, empty): (..., n) bounds, exact when cert.exact, and
-    the (...) mask of polytopes proven EMPTY.  The EMPTY test and the
-    bounds carry a margin of _GAP_RTOL plus the certificates' slack,
-    scaled by the offsets' magnitude, so that both lean towards keeping
-    a candidate; bounds that cross by no more than the margin collapse
-    to a point.
-    """
+def _centre_radius_scale(l, u):
+    """Centre and radius of the offsets [l, u], and the magnitude that
+    scales the certificate step's margins."""
     c = 0.5 * (l + u)
     r = 0.5 * (u - l)
-    s_c = c @ cert.G
-    s_r = r @ cert.G_abs
-    scale = 1.0 + np.max(np.abs(c), axis=-1) + np.max(r, axis=-1)
-    eps = ((_GAP_RTOL + cert.slack) * scale)[..., None]
+    return c, r, 1.0 + np.max(np.abs(c), axis=-1) + np.max(r, axis=-1)
+
+
+def _circuit_empty(cert, l, u):
+    """The verdict step: the (...) mask of polytopes {x : l <= A x <= u}
+    that a circuit of A proves EMPTY, for each row of the (..., rows)
+    offset arrays l, u.
+
+    Only the circuit columns of cert.G are read.  On an exact set they
+    prove EMPTY every polytope that is empty; on a smaller family, those
+    their circuits reach.  The test carries a margin of _GAP_RTOL plus
+    the certificates' slack, scaled by the offsets' magnitude, so that
+    it leans towards keeping a candidate.
+    """
+    c, r, scale = _centre_radius_scale(l, u)
     k = cert.circuits
+    eps = ((_GAP_RTOL + cert.slack) * scale)[..., None]
     # c.y + r.|y| < 0 or c.y - r.|y| > 0, for r.|y| >= 0
-    empty = np.any(np.abs(s_c[..., :k]) - s_r[..., :k] > eps, axis=-1)
+    return np.any(np.abs(c @ cert.G[:, :k]) - r @ cert.G_abs[:, :k] > eps, axis=-1)
+
+
+def _certificate_box(cert, l, u):
+    """The box step: box hull of {x : l <= A x <= u} for each row of the
+    (..., rows) offset arrays l, u, from the certificate columns of
+    cert.G.
+
+    Returns (lo, hi, crossed): (..., n) bounds, exact when cert.exact
+    and the polytope is not empty, and the (...) mask of rows whose
+    bounds cross by more than a margin, which proves them EMPTY too.
+    The bounds are widened by the certificates' slack, scaled by the
+    offsets' magnitude; bounds that cross by no more than the margin
+    collapse to a point.  A polytope is EMPTY when _circuit_empty or
+    crossed says so.
+    """
+    c, r, scale = _centre_radius_scale(l, u)
+    k = cert.circuits
+    s_c = c @ cert.G[:, k:]
+    s_r = r @ cert.G_abs[:, k:]
     widen = cert.slack * scale[..., None]
-    hi = np.minimum.reduceat(s_c[..., k:] + s_r[..., k:], cert.starts, axis=-1) + widen
-    lo = np.maximum.reduceat(s_c[..., k:] - s_r[..., k:], cert.starts, axis=-1) - widen
+    hi = np.minimum.reduceat(s_c + s_r, cert.starts, axis=-1) + widen
+    lo = np.maximum.reduceat(s_c - s_r, cert.starts, axis=-1) - widen
     gap = lo - hi
-    empty |= np.any(gap > _gap_eps(np.abs(lo) + np.abs(hi)), axis=-1)
+    crossed = np.any(gap > _gap_eps(np.abs(lo) + np.abs(hi)), axis=-1)
     touch = gap > 0.0
     mid = 0.5 * (lo + hi)
-    return np.where(touch, mid, lo), np.where(touch, mid, hi), empty
+    return np.where(touch, mid, lo), np.where(touch, mid, hi), crossed
 
 
 def box_hull_lp(A, x0, c):

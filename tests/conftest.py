@@ -18,6 +18,7 @@ from ofbdec import (
     polyphase_from_filters,
     subband_ranges,
 )
+from ofbdec.interval import _certificate_box, _circuit_empty
 
 SQ2 = math.sqrt(2.0)
 
@@ -96,6 +97,13 @@ def noisy_streams(pipe, n, snrs, seed):
     channels = [ChannelModel(snr, seed=seed) for snr in snrs]
     rs = [ch.transmit(bits, ch.stream(j)) for j, ch in enumerate(channels)]
     return channels, rs
+
+
+def certificate_hull(cert, l, u):
+    """The verdict step and the box step on every row of the offsets:
+    (lo, hi, empty), EMPTY where a circuit or crossed bounds prove it."""
+    lo, hi, crossed = _certificate_box(cert, l, u)
+    return lo, hi, _circuit_empty(cert, l, u) | crossed
 
 
 def one_stream_state(input_box, x_hist=(), y_hist=()):

@@ -34,9 +34,9 @@ PUBLIC = {
 # module-level names the benchmark wraps or substitutes, by module
 CALLED_AT_RUN_TIME = {
     decoder: [
-        "_certificate_hull", "top_candidates", "_consistency_batch", "_history_reach",
-        "_parity_residual_bounds", "_parity_pass", "_fallback", "step", "synthesize_ls",
-        "decode_classical", "decode_sequence",
+        "_circuit_empty", "_certificate_box", "top_candidates", "_consistency_batch",
+        "_history_reach", "_parity_residual_bounds", "_parity_pass", "_fallback", "step",
+        "synthesize_ls", "decode_classical", "decode_sequence",
     ],
     experiment: [
         "synthesize_ls", "decode_sequence", "decode_classical", "analyze", "gen_ar1",

@@ -23,6 +23,16 @@ def test_sigma2_from_snr():
     assert np.isclose(ChannelModel(7.0).sigma2, 10.0 ** -0.7)
 
 
+@pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_snr_rejected(snr_db):
+    """A NaN SNR would fail later as non-finite soft bits, and an
+    infinite one would decode noiselessly at the sigma2 floor."""
+    with pytest.raises(ValueError, match=f"^snr_db must be finite unless noiseless, got {snr_db}$"):
+        ChannelModel(snr_db)
+    ch = ChannelModel(snr_db, noiseless=True)
+    assert ch.noiseless and ch.sigma2 == 0.0
+
+
 def test_noise_statistics():
     ch = ChannelModel(10.0 * np.log10(5.0), seed=11)  # sigma2 = 0.2
     assert np.isclose(ch.sigma2, 0.2)

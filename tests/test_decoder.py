@@ -74,6 +74,16 @@ class TestTopCandidates:
         cands = top_candidates(np.array([3.0, 1.0]), q, ch, 2)
         assert [c.u.tolist() for c in cands] == [[-1, -1], [-1, 0]]
 
+    def test_n_max_validated(self):
+        """The floor and the integer check of DecoderConfig.n_max."""
+        q, ch = two_bit_setup()
+        r = np.array([3.0, 1.0])
+        with pytest.raises(ValueError, match="^n_max must be at least 1$"):
+            top_candidates(r, q, ch, 0)
+        with pytest.raises(ValueError, match="^n_max must be an integer, got 2.5$"):
+            top_candidates(r, q, ch, 2.5)
+        assert len(top_candidates(r, q, ch, np.int64(1))) == 1
+
     def test_all_positive_r_gives_all_zero_bits(self, default_pipe):
         q = default_pipe.q
         ch = ChannelModel(7.0)

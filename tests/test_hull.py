@@ -1,21 +1,25 @@
 """The consistency hull from LP-dual certificates: the enumerated bank
-data, the bases near the input box that banks above the cap get, and
-property tests against the scipy LP hull over random small banks."""
+data, the bases near the input box that banks above the cap get, the
+verdict step and the box step, and property tests against the scipy LP
+hull over random small banks."""
 
+import copy
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import noisy_streams, one_stream_state
+from conftest import BankPipeline, certificate_hull, noisy_streams, one_stream_state
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ofbdec import (
+    FLAG_CLEAN,
     Box,
     ChannelModel,
     DecoderConfig,
     DecoderState,
+    Interval,
     Polyphase,
     consistency_box,
     load_filter_bank,
@@ -25,7 +29,7 @@ from ofbdec import (
 )
 from ofbdec import decoder, filterbank
 from ofbdec.decoder import _consistency_batch, _history_reach
-from ofbdec.interval import HullCertificates, _certificate_hull, box_hull_lp
+from ofbdec.interval import HullCertificates, _certificate_box, _circuit_empty, box_hull_lp
 
 DATA = Path(__file__).parent / "data"
 
@@ -199,7 +203,7 @@ def test_certificate_box_is_the_lp_hull(poly, seed):
     is infeasible: never for a feasible candidate."""
     state, cell_lo, cell_hi = instance(poly, seed)
     hulls, c_lo, c_hi = lp_hulls(poly, state, cell_lo, cell_hi)
-    lo, hi, empty = _certificate_hull(poly.consistency_certificates(), *offsets(state, c_lo, c_hi))
+    lo, hi, empty = certificate_hull(poly.consistency_certificates(), *offsets(state, c_lo, c_hi))
     assert_equals_hull(lo[0], hi[0], empty[0], hulls)
 
 
@@ -211,7 +215,7 @@ def test_capped_set_encloses_the_lp_hull(poly, seed):
     cert = capped_certificates(poly)
     state, cell_lo, cell_hi = instance(poly, seed)
     hulls, c_lo, c_hi = lp_hulls(poly, state, cell_lo, cell_hi)
-    lo, hi, empty = _certificate_hull(cert, *offsets(state, c_lo, c_hi))
+    lo, hi, empty = certificate_hull(cert, *offsets(state, c_lo, c_hi))
     for k, hull in enumerate(hulls):
         if not hull.is_empty:
             assert not empty[0, k], k
@@ -219,13 +223,49 @@ def test_capped_set_encloses_the_lp_hull(poly, seed):
             assert np.all(hi[0, k] >= hull.hi - 1e-9 * (1.0 + np.abs(hull.hi)))
 
 
+def assert_steps_are_the_lp_hull(poly, state, cell_lo, cell_hi):
+    """The verdict step of _consistency_batch proves EMPTY exactly the
+    candidates the LP finds infeasible; the box step, run on every
+    candidate, gives the LP hull within 1e-9 and crosses no feasible
+    candidate's bounds.  Returns the verdicts."""
+    hulls, _, _ = lp_hulls(poly, state, cell_lo, cell_hi)
+    l, u, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
+    lo, hi, crossed = _certificate_box(poly.consistency_certificates(), l, u)
+    assert_equals_hull(lo[0], hi[0], empty[0], hulls)
+    assert not np.any(crossed[~empty])
+    return empty[0]
+
+
 @PROPERTY
 @given(poly=small_banks(), seed=st.integers(0, 2**32 - 1))
 def test_consistency_is_the_lp_hull(poly, seed):
     state, cell_lo, cell_hi = instance(poly, seed)
-    hulls, _, _ = lp_hulls(poly, state, cell_lo, cell_hi)
-    lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
-    assert_equals_hull(lo[0], hi[0], empty[0], hulls)
+    assert_steps_are_the_lp_hull(poly, state, cell_lo, cell_hi)
+
+
+def assert_circuits_decide_empty(cert, l, u):
+    """The verdict step proves EMPTY every row whose box-step bounds
+    cross: the circuits alone decide EMPTY."""
+    empty = _circuit_empty(cert, l, u)
+    _, _, crossed = _certificate_box(cert, l, u)
+    assert not np.any(crossed & ~empty)
+    return empty
+
+
+@PROPERTY
+@given(poly=small_banks(), seed=st.integers(0, 2**32 - 1))
+def test_circuits_alone_decide_empty_on_exact_sets(poly, seed):
+    """On an exact set, over the offsets of listed candidates and over
+    random offsets, most of them infeasible."""
+    cert = poly.consistency_certificates()
+    assert cert.exact
+    state, cell_lo, cell_hi = instance(poly, seed)
+    l, u, _ = _consistency_batch(cell_lo, cell_hi, state, poly)
+    rng = np.random.default_rng(seed)
+    a, b = (GRID * rng.integers(-6, 7, (1, 16, l.shape[2])) for _ in range(2))
+    l = np.concatenate([l, np.minimum(a, b)], axis=1)
+    u = np.concatenate([u, np.maximum(a, b)], axis=1)
+    assert assert_circuits_decide_empty(cert, l, u).any()
 
 
 # -- the hull on decoded streams -------------------------------------------
@@ -245,13 +285,72 @@ def test_consistency_on_a_decoded_stream_is_the_lp_hull(default_pipe):
     for i in range(r.shape[0]):
         u = np.stack([c.u for c in top_candidates(r[i], p.q, ch, cfg.n_max)])[None]
         cell_lo, cell_hi = p.q.cell_bounds(u)
-        lo, hi, empty = _consistency_batch(cell_lo, cell_hi, state, p.poly)
-        hulls, _, _ = lp_hulls(p.poly, state, cell_lo, cell_hi)
-        assert_equals_hull(lo[0], hi[0], empty[0], hulls)
-        verdicts.extend(empty[0].tolist())
+        verdicts.extend(assert_steps_are_the_lp_hull(p.poly, state, cell_lo, cell_hi).tolist())
         step(r[i], state, p.poly, p.parity, p.q, ch, cfg)
     assert len(verdicts) == r.shape[0] * cfg.n_max
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_circuits_alone_decide_empty_on_a_decoded_walsh_stream():
+    """On the Walsh bank's outer set (levels 0 and 1), every listed
+    candidate of a 7 dB stream, given the history the decoder built."""
+    p = BankPipeline(load_filter_bank(DATA / "walsh_12x8.txt"), Interval(-4.0, 4.0), 0.72)
+    cert = p.poly.consistency_certificates()
+    assert not cert.exact
+    cfg = DecoderConfig()
+    channels, rs = noisy_streams(p, 30 * p.poly.N, (7.0,), seed=17)
+    ch, r = channels[0], rs[0]
+    input_box = Box.uniform(p.x_range.lo, p.x_range.hi, p.poly.N)
+    state = DecoderState.initial(input_box, p.poly, p.parity)
+    verdicts = []
+    for i in range(r.shape[0]):
+        u = np.stack([c.u for c in top_candidates(r[i], p.q, ch, cfg.n_max)])[None]
+        l, h, _ = _consistency_batch(*p.q.cell_bounds(u), state, p.poly)
+        verdicts.extend(assert_circuits_decide_empty(cert, l, h)[0].tolist())
+        step(r[i], state, p.poly, p.parity, p.q, ch, cfg)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_a_crossed_pick_is_dropped_and_the_stream_picks_again(default_pipe, monkeypatch):
+    """When the box step reports a stream's pick crossed, that candidate
+    is EMPTY: the stream takes its next live candidate, with that
+    candidate's box, and counts one consistent candidate fewer."""
+    p = default_pipe
+    cfg = DecoderConfig(use_pct=False)
+    channels, rs = noisy_streams(p, 30 * p.poly.N, (7.0,), seed=17)
+    ch, r = channels[0], rs[0]
+    input_box = Box.uniform(p.x_range.lo, p.x_range.hi, p.poly.N)
+    state = DecoderState.initial(input_box, p.poly, p.parity)
+    i = 0
+    while True:
+        u = np.stack([c.u for c in top_candidates(r[i], p.q, ch, cfg.n_max)])
+        live = np.flatnonzero(~_consistency_batch(*p.q.cell_bounds(u[None]), state, p.poly)[2][0])
+        if live.size >= 2:
+            break
+        step(r[i], state, p.poly, p.parity, p.q, ch, cfg)
+        i += 1
+    alone = step(r[i], copy.copy(state), p.poly, p.parity, p.q, ch, cfg)
+    assert alone.rank == live[0] + 1
+
+    box = consistency_box(u[live[1]], state, p.poly, p.q)
+    original = decoder._certificate_box
+    calls = []
+
+    def cross_first_pick(cert, l, u):
+        lo, hi, crossed = original(cert, l, u)
+        if not calls:
+            crossed = np.ones_like(crossed)
+        calls.append(l.shape)
+        return lo, hi, crossed
+
+    monkeypatch.setattr(decoder, "_certificate_box", cross_first_pick)
+    res = step(r[i], state, p.poly, p.parity, p.q, ch, cfg)
+    assert len(calls) == 2
+    assert res.rank == live[1] + 1
+    assert np.array_equal(res.u_hat, u[live[1]])
+    assert res.n_consistent == alone.n_consistent - 1 == live.size - 1
+    assert res.flag == FLAG_CLEAN
+    assert res.x_box == box
 
 
 def assert_sent_blocks_contained(pipe, n_blocks, seed):
@@ -273,16 +372,16 @@ def assert_sent_blocks_contained(pipe, n_blocks, seed):
 
 
 def test_a_hull_that_misses_the_signal_is_caught(default_pipe, monkeypatch):
-    """The containment check above passes on the real certificate step
-    and fails when it returns each box's lower corner: a seam that a
+    """The containment check above passes on the real box step and
+    fails when it returns each box's lower corner: a seam that a
     soundness oracle can break."""
     assert_sent_blocks_contained(default_pipe, 40, seed=21)
-    original = decoder._certificate_hull
+    original = decoder._certificate_box
 
     def lower_corner(cert, l, u):
-        lo, hi, empty = original(cert, l, u)
-        return lo, lo.copy(), empty
+        lo, hi, crossed = original(cert, l, u)
+        return lo, lo.copy(), crossed
 
-    monkeypatch.setattr(decoder, "_certificate_hull", lower_corner)
+    monkeypatch.setattr(decoder, "_certificate_box", lower_corner)
     with pytest.raises(AssertionError, match="instant 0: box misses the sent block"):
         assert_sent_blocks_contained(default_pipe, 40, seed=21)

@@ -5,11 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import certificate_hull
+
 from ofbdec.interval import (
     Box,
     HullCertificates,
     Interval,
-    _certificate_hull,
     box_hull_lp,
     matvec_box,
 )
@@ -23,7 +24,7 @@ def hull(A, x0, c):
         return Box.empty(n)
     stacked = np.vstack([np.eye(n), A])
     cert = HullCertificates(stacked, list(itertools.combinations(range(stacked.shape[0]), n)))
-    lo, hi, empty = _certificate_hull(cert, np.r_[x0.lo, c.lo], np.r_[x0.hi, c.hi])
+    lo, hi, empty = certificate_hull(cert, np.r_[x0.lo, c.lo], np.r_[x0.hi, c.hi])
     return Box.empty(n) if empty else Box(lo, hi)
 
 
