@@ -3,26 +3,14 @@
 import argparse
 import sys
 
-from .decoder import FLAG_CLEAN
-from .experiment import load_config, run_sweep, simulate_point, write_csv
-from .filterbank import (
-    default_filter_bank,
-    load_filter_bank,
-    parity_from_polyphase,
-    polyphase_from_filters,
-    verify_annihilation,
-)
+from .experiment import _bank_chain, load_config, run_sweep, simulate_point, write_csv
+from .filterbank import _bank_source, verify_annihilation
 
 import numpy as np
 
 
 def _cmd_bank_check(args):
-    if args.file == "default":
-        bank = default_filter_bank()
-    else:
-        bank = load_filter_bank(args.file)
-    poly = polyphase_from_filters(bank)
-    parity = parity_from_polyphase(poly)
+    bank, poly, parity = _bank_chain(*_bank_source(args.file))
     stacked = np.hstack([parity.P[l] for l in range(parity.order + 1)])
     gram_err = float(np.max(np.abs(stacked @ stacked.T - np.eye(parity.rows))))
     print(f"bank: M={bank.M} subbands, N={bank.N}, order L={bank.L}")

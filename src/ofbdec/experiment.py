@@ -10,6 +10,7 @@ reduces realizations in index order, so results are reproducible
 byte-for-byte regardless of how many worker processes run.
 """
 
+import dataclasses
 import functools
 import math
 import os
@@ -58,12 +59,14 @@ def reconstruction_snr(x, x_hat, skip):
 
     10*log10(sum x^2 / sum (x - x_hat)^2), capped at 120 dB; the cap is
     also returned for an exact reconstruction.  Raises when the skipped
-    signal carries no energy.
+    signal carries no energy or either array holds a NaN or infinity.
     """
     x = np.asarray(x, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     if x.shape != x_hat.shape:
         raise ValueError("signal and reconstruction must have equal shape")
+    if not (np.isfinite(x).all() and np.isfinite(x_hat).all()):
+        raise ValueError("signal and reconstruction must be finite")
     skip = int(skip)
     if not 0 <= skip < x.size:
         raise ValueError("warmup skip leaves no samples")
@@ -104,8 +107,7 @@ class ExperimentConfig:
     out: str = ""
 
     def __post_init__(self):
-        # sequences become tuples so that the config stays hashable: it
-        # keys the pipeline cache
+        # tuples, as parse_config makes them: a frozen config holds no list
         for name in ("pgm_rows", "pgm_range", "snr_db"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.source not in ("ar1", "pgm"):
@@ -144,30 +146,6 @@ class ExperimentConfig:
         _decoder_config(self, self.use_pct)
 
 
-_CONFIG_PARSERS = {
-    "source": str,
-    "n": int,
-    "rho": float,
-    "clip": float,
-    "pgm_path": str,
-    "pgm_rows": lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
-    "pgm_range": lambda s: tuple(float(v) for v in s.split(",")),
-    "bank": str,
-    "delta": float,
-    "gray": lambda s: _parse_bool(s),
-    "snr_db": lambda s: tuple(float(v) for v in s.split(",") if v.strip()),
-    "realizations": int,
-    "n_max": int,
-    "use_pct": lambda s: _parse_bool(s),
-    "contractor": str,
-    "window": int,
-    "noiseless": lambda s: _parse_bool(s),
-    "seed": int,
-    "workers": int,
-    "out": str,
-}
-
-
 def _parse_bool(s):
     v = s.strip().lower()
     if v in ("1", "true", "yes", "on"):
@@ -177,11 +155,25 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _value_parser(default):
+    """A config value's parser, read off its field's default; a tuple is
+    comma-separated items of its first item's type."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        item = type(default[0])
+        return lambda s: tuple(item(v) for v in s.split(",") if v.strip())
+    return type(default)
+
+
+_CONFIG_PARSERS = {f.name: _value_parser(f.default) for f in dataclasses.fields(ExperimentConfig)}
+
+
 def parse_config(text, origin="<config>"):
     """Parse 'key = value' configuration text into an ExperimentConfig.
 
-    '#' starts a comment; unknown keys and malformed values raise
-    ValueError naming the line.
+    '#' starts a comment; unknown or repeated keys and malformed values
+    raise ValueError naming the line.
     """
     values = {}
     lines = {}
@@ -196,6 +188,8 @@ def parse_config(text, origin="<config>"):
         val = val.strip()
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"{origin}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ValueError(f"{origin}:{lineno}: key {key!r} already set on line {lines[key]}")
         try:
             values[key] = _CONFIG_PARSERS[key](val)
         except ValueError as exc:
@@ -219,8 +213,8 @@ def load_config(path):
 
 
 class Pipeline:
-    """Everything derived from a config that is shared across
-    realizations: bank, parity, quantizers, ranges, warmup length."""
+    """Everything derived from a config: bank, parity, quantizers,
+    ranges, warmup length.  The bank chain comes cached from _bank_chain."""
 
     def __init__(self, cfg):
         if cfg.source == "pgm" and not cfg.pgm_path:
@@ -265,38 +259,32 @@ class Pipeline:
 
 @functools.lru_cache(maxsize=4)
 def _bank_chain(text, origin):
-    """(FilterBank, Polyphase, ParityCheck) of a bank file's text.  Every
-    config naming the same text shares them, and with them the caches
-    the Polyphase fills (synthesis rows, frame singular values,
-    consistency certificates); an edited file is a new key."""
+    """(FilterBank, Polyphase, ParityCheck) of a bank file's text, the
+    harness's one cache: every Pipeline and `ofbdec bank check` reading
+    the same text share them and the Polyphase's caches (synthesis rows,
+    frame singular values, consistency certificates)."""
     bank = _parse_bank_text(text, origin)
     poly = polyphase_from_filters(bank)
     return bank, poly, parity_from_polyphase(poly)
 
 
-def _pipeline_for(cfg):
-    """The Pipeline of cfg and of its bank file's current text; the last
-    one built is kept, so a sweep's realizations and its CSV header
-    share one, and a bank file edited in place is read afresh."""
-    return _pipeline_of_source(cfg, _bank_source(cfg.bank))
-
-
-@functools.lru_cache(maxsize=1)
-def _pipeline_of_source(cfg, bank_source):
-    # bank_source, the (text, origin) of cfg.bank, only keys the cache
-    return Pipeline(cfg)
-
-
-def _encode(pipe, realization):
+def _transmit(pipe, realization, snrs):
     """The transmit chain of one realization: source, analysis bank,
-    quantizers and index codes.  Returns (x, bits, reference SNR), the
-    reference being the noiseless reconstruction from the sent indexes."""
-    poly, q = pipe.poly, pipe.q
+    quantizers and index codes, then the j-th SNR of snrs on noise
+    substream (_CHANNEL_KEY, realization, j).  Returns (x, bits,
+    reference SNR, channels, soft bits per channel), the reference being
+    the noiseless reconstruction from the sent indexes."""
+    cfg, poly, q = pipe.cfg, pipe.poly, pipe.q
     x = pipe.source_signal(realization)
     u = q.quantize_block(analyze(x, poly))
     bits = q.encode_stream(u)
-    x_ref = synthesize_ls(poly, q.dequantize_block(u), window=pipe.cfg.window)
-    return x, bits, reconstruction_snr(x, x_ref, pipe.skip)
+    x_ref = synthesize_ls(poly, q.dequantize_block(u), window=cfg.window)
+    channels = [ChannelModel(snr, seed=cfg.seed, noiseless=cfg.noiseless) for snr in snrs]
+    rs = [
+        ch.transmit(bits, ch.stream(_CHANNEL_KEY, realization, j))
+        for j, ch in enumerate(channels)
+    ]
+    return x, bits, reconstruction_snr(x, x_ref, pipe.skip), channels, rs
 
 
 def _decoder_config(cfg, use_pct):
@@ -306,34 +294,29 @@ def _decoder_config(cfg, use_pct):
 def _run_realization(args):
     """Worker body: one source realization across every SNR point.
 
-    Returns (reference_snr, per_snr) with per_snr a list of tuples
-    (classical_snr, ber, proposed_snr, proposed_err, pct_snr, pct_err).
+    Returns an array of shape (len(snr_db), len(RECEIVERS), 2) whose
+    [j, i] entry is (reconstruction SNR, error rate) of receiver
+    RECEIVERS[i] at snr_db[j].
     """
     cfg, realization = args
-    pipe = _pipeline_for(cfg)
+    pipe = Pipeline(cfg)
     poly, parity, q = pipe.poly, pipe.parity, pipe.q
-    x, bits, ref_snr = _encode(pipe, realization)
-
-    channels = [ChannelModel(snr, seed=cfg.seed, noiseless=cfg.noiseless) for snr in cfg.snr_db]
-    rs = [
-        ch.transmit(bits, ch.stream(_CHANNEL_KEY, realization, j))
-        for j, ch in enumerate(channels)
-    ]
+    x, bits, ref_snr, channels, rs = _transmit(pipe, realization, cfg.snr_db)
     # all 2 * len(snr_db) decoder streams of the realization in lockstep
     cfgs = (_decoder_config(cfg, False), _decoder_config(cfg, True))
     decoded = decode_streams(rs, poly, parity, q, channels, cfgs, pipe.x_range)
 
-    per_snr = []
+    rows = []
     for r, ((x_prop, diag_prop), (x_pct, diag_pct)) in zip(rs, decoded):
         ber = float(np.mean(ChannelModel.hard_decision(r) != bits))
         x_cl = decode_classical(r, poly, q, window=cfg.window)
-        cl_snr = reconstruction_snr(x, x_cl, pipe.skip)
-        prop_snr = reconstruction_snr(x, x_prop, pipe.skip)
-        pct_snr = reconstruction_snr(x, x_pct, pipe.skip)
-        per_snr.append(
-            (cl_snr, ber, prop_snr, diag_prop.error_rate, pct_snr, diag_pct.error_rate)
-        )
-    return ref_snr, per_snr
+        rows.append([
+            (reconstruction_snr(x, x_cl, pipe.skip), ber),
+            (reconstruction_snr(x, x_prop, pipe.skip), diag_prop.error_rate),
+            (reconstruction_snr(x, x_pct, pipe.skip), diag_pct.error_rate),
+            (ref_snr, 0.0),
+        ])
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -354,7 +337,7 @@ def run_sweep(cfg):
     reduction over realizations is ordered by realization index, so the
     result does not depend on cfg.workers.
     """
-    _pipeline_for(cfg)  # config errors surface before any realization runs
+    Pipeline(cfg)  # config errors surface before any realization runs
     jobs = [(cfg, k) for k in range(cfg.realizations)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -362,19 +345,11 @@ def run_sweep(cfg):
     else:
         results = [_run_realization(job) for job in jobs]
 
-    ref = np.array([res[0] for res in results])
+    results = np.array(results)
     points = []
     for j, snr in enumerate(cfg.snr_db):
-        rows = np.array([res[1][j] for res in results])
-        cl, ber, prop, prop_err, pct, pct_err = rows.T
-        per_receiver = {
-            "classical": (cl, float(np.mean(ber))),
-            "proposed": (prop, float(np.mean(prop_err))),
-            "proposed_pct": (pct, float(np.mean(pct_err))),
-            "reference": (ref, 0.0),
-        }
-        for name in RECEIVERS:
-            vals, err = per_receiver[name]
+        for i, name in enumerate(RECEIVERS):
+            vals, errs = results[:, j, i].T
             std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
             points.append(
                 SnrPoint(
@@ -382,7 +357,7 @@ def run_sweep(cfg):
                     receiver=name,
                     mean_snr_db=float(np.mean(vals)),
                     std_snr_db=std,
-                    error_rate=err,
+                    error_rate=float(np.mean(errs)),
                     realizations=cfg.realizations,
                     seed=cfg.seed,
                 )
@@ -393,20 +368,16 @@ def run_sweep(cfg):
 def simulate_point(cfg, realization=0):
     """Decode one realization at the first configured SNR, returning
     per-receiver SNRs and the consistency decoder's diagnostics."""
-    pipe = _pipeline_for(cfg)
+    pipe = Pipeline(cfg)
     poly, parity, q = pipe.poly, pipe.parity, pipe.q
-    x, bits, ref_snr = _encode(pipe, realization)
-
-    snr = cfg.snr_db[0]
-    ch = ChannelModel(snr, seed=cfg.seed, noiseless=cfg.noiseless)
-    r = ch.transmit(bits, ch.stream(_CHANNEL_KEY, realization, 0))
+    x, _, ref_snr, (ch,), (r,) = _transmit(pipe, realization, cfg.snr_db[:1])
 
     x_cl = decode_classical(r, poly, q, window=cfg.window)
     dec_cfg = _decoder_config(cfg, cfg.use_pct)
     x_hat, diag = decode_sequence(r, poly, parity, q, ch, dec_cfg, pipe.x_range)
 
     return {
-        "snr_db": float(snr),
+        "snr_db": float(cfg.snr_db[0]),
         "reference": ref_snr,
         "classical": reconstruction_snr(x, x_cl, pipe.skip),
         "proposed": reconstruction_snr(x, x_hat, pipe.skip),
@@ -418,7 +389,7 @@ def simulate_point(cfg, realization=0):
 
 def write_csv(points, cfg, path):
     """Write sweep rows to CSV, echoing the quantizer setup as comments."""
-    pipe = _pipeline_for(cfg)
+    pipe = Pipeline(cfg)
     lines = [
         "# ofbdec sweep",
         f"# bank = {cfg.bank} (M={pipe.poly.M}, N={pipe.poly.N}, L={pipe.poly.L}, "

@@ -55,6 +55,12 @@ class TestReconstructionSnr:
             reconstruction_snr(x, x, 4)
         with pytest.raises(ValueError, match="power"):
             reconstruction_snr(np.zeros(4), np.ones(4), 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            y = np.array([1.0, 2.0, bad, 4.0])
+            with pytest.raises(ValueError, match="must be finite"):
+                reconstruction_snr(x, y, 0)
+            with pytest.raises(ValueError, match="must be finite"):
+                reconstruction_snr(y, x, 0)
 
 
 class TestParseConfig:
@@ -90,6 +96,15 @@ class TestParseConfig:
     def test_bad_value_names_line(self):
         with pytest.raises(ValueError, match=r":1: bad value for n"):
             parse_config("n = ten\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError, match=r"^run\.cfg:3: key 'n' already set on line 1$"):
+            parse_config("n = 16\nseed = 1\nn = 32\n", origin="run.cfg")
+
+    def test_list_values_skip_empty_items(self):
+        cfg = parse_config("snr_db = 7,\npgm_rows = 1,2,\npgm_range = 0,255,\n")
+        assert cfg.snr_db == (7.0,) and cfg.pgm_rows == (1, 2)
+        assert cfg.pgm_range == (0.0, 255.0)
 
     def test_missing_equals(self):
         with pytest.raises(ValueError, match=r":1: expected 'key = value'"):
@@ -313,21 +328,32 @@ class TestBankReuse:
         assert edited.poly is not first.poly
         assert edited.poly.E[1, 2].tolist() == [0.5, -0.5]
 
-    def test_edited_bank_file_reaches_the_cached_pipeline(self, tmp_path):
+    def test_edited_bank_file_reaches_simulate_point(self, tmp_path):
         f = tmp_path / "bank.txt"
         f.write_text("3 2 1\n1 1\n1 -1\n0.5 0.5 -0.5 -0.5\n")
         cfg = ExperimentConfig(**{**SMALL, "bank": str(f), "clip": 1.0, "delta": 1.0})
         before = simulate_point(cfg)["diagnostics"]
-        assert experiment._pipeline_for(cfg).poly.E[1, 2].tolist() == [-0.5, -0.5]
+        assert experiment.Pipeline(cfg).poly.E[1, 2].tolist() == [-0.5, -0.5]
         f.write_text("3 2 1\n1 1\n1 -1\n0.5 -0.5 0.5 -0.5\n")
         after = simulate_point(cfg)["diagnostics"]
-        assert experiment._pipeline_for(cfg).poly.E[1, 2].tolist() == [0.5, -0.5]
+        assert experiment.Pipeline(cfg).poly.E[1, 2].tolist() == [0.5, -0.5]
         fresh = experiment.Pipeline(cfg)
-        assert experiment._pipeline_for(cfg).poly is fresh.poly
+        assert experiment.Pipeline(cfg).poly is fresh.poly
         assert not np.array_equal(after.x_lo, before.x_lo)
 
 
 class TestSimulatePoint:
+    @pytest.mark.parametrize("use_pct, decoder", [(True, "proposed_pct"), (False, "proposed")])
+    def test_matches_the_sweeps_first_snr(self, use_pct, decoder):
+        # one realization sent through one transmit chain: simulate_point
+        # sees the sweep's soft bits at its first SNR, bit for bit
+        cfg = ExperimentConfig(**{**SMALL, "realizations": 1, "snr_db": (7.0, 9.0),
+                                  "use_pct": use_pct})
+        res = simulate_point(cfg)
+        rows = {p.receiver: p.mean_snr_db for p in run_sweep(cfg) if p.snr_db == 7.0}
+        assert (res["classical"], res["proposed"], res["reference"]) == (
+            rows["classical"], rows[decoder], rows["reference"])
+
     def test_noiseless_point(self):
         cfg = ExperimentConfig(**{**SMALL, "noiseless": True})
         res = simulate_point(cfg)
