@@ -26,12 +26,14 @@ module serves the tests as an oracle.
 Decoding runs in lockstep: B independent streams advance one instant at
 a time together, their histories held as arrays of shape (B, L, N) and
 (B, L', M), so each of the steps above is one numpy pass over all B*K
-candidates, or over the B picks for the box step.  The candidate lists of a stream are built beforehand, for
-all instants at once, and shared by every decoder variant that reads
-the same soft bits.  A single stream (decode_sequence, step) is the
-case B = 1.  Every matrix product keeps the shape it has for one
-stream, so a stream decodes bit for bit the same whatever else runs
-beside it.
+candidates, or over the B picks for the box step.  The candidate
+lists of all streams are built beforehand, in one listing pass over
+their instants, and shared by every decoder variant that reads the
+same soft bits; the decoded streams of each variant are then
+synthesized in one stacked call.  A single stream (decode_sequence,
+step) is the case B = 1.  Every matrix product keeps the shape it has
+for one stream, so a stream decodes bit for bit the same whatever else
+runs beside it.
 
 The point estimate for the whole stream is assembled afterwards: the
 decoded index vectors are dequantized and passed through the same
@@ -193,11 +195,12 @@ def _matvec(A, X):
     return np.matmul(A, X[..., None])[..., 0]
 
 
-def _soft_bits(r, q):
-    """r as a (T, total_bits) float array, checked to hold finite soft
-    bits of the right width: the input check of both receivers."""
+def _soft_bits(r, q, stacked=False):
+    """r as a (T, total_bits) float array, or (..., T, total_bits) when
+    stacked, checked to hold finite soft bits of the right width: the
+    input check of both receivers."""
     r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[1] != q.total_bits:
+    if not (r.ndim == 2 or (stacked and r.ndim > 2)) or r.shape[-1] != q.total_bits:
         raise ValueError(f"expected {q.total_bits} bits per instant")
     if not np.all(np.isfinite(r)):
         raise ValueError("soft bits must be finite")
@@ -207,7 +210,10 @@ def _soft_bits(r, q):
 def _candidate_lists(r, q, sig2, n_max):
     """The n_max most likely index vectors of every instant, best first.
 
-    r is a (T, total_bits) array of soft bits.  Returns (u, scores):
+    r is a (T, total_bits) array of soft bits and sig2 the channel's
+    noise variance: a scalar, or a (T, 1) column when the rows come
+    from several channels.  Rows are listed independently, so each
+    row's list is bit for bit its list alone.  Returns (u, scores):
     the (T, K, M) index vectors and their (T, K) log-likelihoods, K
     being the list length (n_max, or fewer when the bank has fewer
     index vectors).  Instants are listed in chunks whose length comes
@@ -218,6 +224,7 @@ def _candidate_lists(r, q, sig2, n_max):
     """
     r = _soft_bits(r, q)
     T = r.shape[0]
+    sig2 = np.broadcast_to(sig2, (T, 1))
     K = widest = 1
     for R in q.rates:
         S = min(n_max, 1 << int(R))
@@ -227,7 +234,8 @@ def _candidate_lists(r, q, sig2, n_max):
     scores = np.empty((T, K))
     chunk = max(1, _LIST_CHUNK_ELEMENTS // widest)
     for t in range(0, T, chunk):
-        u[t:t + chunk], scores[t:t + chunk] = _list_chunk(r[t:t + chunk], q, sig2, n_max)
+        rows = slice(t, t + chunk)
+        u[rows], scores[rows] = _list_chunk(r[rows], q, sig2[rows], n_max)
     return u, scores
 
 
@@ -587,9 +595,13 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
     cfgs : V DecoderConfig that differ at most in use_pct and window
     x_range : Interval of admissible input sample values
 
-    Each stream's candidate lists are built once and shared by its V
-    decoders, and all S*V decoders advance together.  Each decodes
-    exactly as decode_sequence decodes it alone.
+    The candidate lists of all S streams are built in one listing pass
+    over their S*T instants, each row scored with its own channel's
+    noise variance, and each stream's lists are shared by its V
+    decoders.  All S*V decoders advance together, and the S streams of
+    each config are synthesized in one stacked call (synthesize_ls with
+    a leading stream axis).  Each decodes exactly as decode_sequence
+    decodes it alone.
 
     Returns results with results[s][v] = (x_hat, diag), the output of
     decode_sequence(rs[s], ..., channels[s], cfgs[v], x_range).
@@ -604,16 +616,14 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
         raise ValueError("lockstep decoders must share n_max")
     if len(rs) != len(channels):
         raise ValueError("expected one channel per stream")
-    lists = [
-        _candidate_lists(r, q, ch.effective_sigma2(), n_max)[0]
-        for r, ch in zip(rs, channels)
-    ]
-    T = lists[0].shape[0]
-    if any(u.shape[0] != T for u in lists):
+    rs = [_soft_bits(r, q) for r in rs]
+    S, T, V = len(rs), rs[0].shape[0], len(cfgs)
+    if any(r.shape[0] != T for r in rs):
         raise ValueError("lockstep streams must have equal length")
-    u = np.stack(lists)  # (S, T, K, M)
+    sig2 = np.repeat([ch.effective_sigma2() for ch in channels], T)[:, None]
+    u = _candidate_lists(np.concatenate(rs), q, sig2, n_max)[0]
+    u = u.reshape(S, T, *u.shape[1:])  # (S, T, K, M)
     cell_lo, cell_hi = q.cell_bounds(u)
-    S, V = len(lists), len(cfgs)
     B = S * V
     src = np.repeat(np.arange(S), V)  # stream b = s * V + v reads list s
     use_pct = np.array([c.use_pct for c in cfgs] * S)
@@ -631,34 +641,32 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
             state, u[src, i], cell_lo[src, i], cell_hi[src, i], use_pct, poly, parity, q
         )
         ranks[:, i] = pick + 1
+    x_hat = np.empty((B, T * N))
+    for v, cfg in enumerate(cfgs):  # streams v, v + V, ... decode under cfgs[v]
+        x_hat[v::V] = synthesize_ls(poly, q.dequantize_block(u_hat[v::V]), window=cfg.window)
+    # widen each verified box symmetrically about the point estimate
+    pts = x_hat.reshape(B, T, N)
+    rad = np.maximum(np.maximum(pts - lo, hi - pts), 0.0)
+    x_lo, x_hi, box_width_max = pts - rad, pts + rad, (2.0 * rad).max(axis=2)
     results = [
-        _finish(u_hat[b], lo[b], hi[b], flags[b], ranks[b], n_consistent[b], poly, q, cfgs[b % V])
+        (x_hat[b], DecodeDiagnostics(flags[b], ranks[b], n_consistent[b], box_width_max[b],
+                                     x_lo[b], x_hi[b], u_hat[b]))
         for b in range(B)
     ]
     return [results[s * V:(s + 1) * V] for s in range(S)]
 
 
-def _finish(u_hat, lo, hi, flags, ranks, n_consistent, poly, q, cfg):
-    """Synthesize a decoded stream and widen its boxes about the point
-    estimate: (x_hat, diag)."""
-    T, N = lo.shape
-    x_hat = synthesize_ls(poly, q.dequantize_block(u_hat), window=cfg.window)
-    pts = x_hat.reshape(T, N) if T else np.empty((0, N))
-    rad = np.maximum(np.maximum(pts - lo, hi - pts), 0.0)
-    x_lo = pts - rad
-    x_hi = pts + rad
-    width = 2.0 * rad
-    box_width_max = width.max(axis=1) if T else np.empty(0)
-    diag = DecodeDiagnostics(
-        flags, ranks, n_consistent, box_width_max, x_lo, x_hi, u_hat
-    )
-    return x_hat, diag
-
-
 def decode_classical(r, poly, q, window=8):
     """Reference receiver: per-bit hard decisions, dequantization, and
-    windowed least-squares synthesis.  No consistency information."""
-    bits = ChannelModel.hard_decision(_soft_bits(r, q))
-    u = q.decode_stream(bits)
-    y = q.dequantize_block(u)
+    windowed least-squares synthesis.  No consistency information.
+
+    r holds the (T, total_bits) soft bits of one stream, or a stack
+    (..., T, total_bits) of streams of equal length; the hard decisions
+    of all of them are index-decoded together and synthesized in one
+    stacked call.  Returns (..., T*N) signals, each bit for bit the
+    stream's own decode.
+    """
+    bits = ChannelModel.hard_decision(_soft_bits(r, q, stacked=True))
+    u = q.decode_stream(bits.reshape(-1, q.total_bits))
+    y = q.dequantize_block(u).reshape(*bits.shape[:-1], q.M)
     return synthesize_ls(poly, y, window=window)

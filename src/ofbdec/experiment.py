@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,10 +305,11 @@ def _run_realization(args):
     cfgs = (_decoder_config(cfg, False), _decoder_config(cfg, True))
     decoded = decode_streams(rs, poly, parity, q, channels, cfgs, pipe.x_range)
 
+    x_cls = decode_classical(np.stack(rs), poly, q, window=cfg.window)
+
     rows = []
-    for r, ((x_prop, diag_prop), (x_pct, diag_pct)) in zip(rs, decoded):
+    for r, x_cl, ((x_prop, diag_prop), (x_pct, diag_pct)) in zip(rs, x_cls, decoded):
         ber = float(np.mean(ChannelModel.hard_decision(r) != bits))
-        x_cl = decode_classical(r, poly, q, window=cfg.window)
         rows.append([
             (reconstruction_snr(x, x_cl, pipe.skip), ber),
             (reconstruction_snr(x, x_prop, pipe.skip), diag_prop.error_rate),
@@ -340,6 +340,9 @@ def run_sweep(cfg):
     Pipeline(cfg)  # config errors surface before any realization runs
     jobs = [(cfg, k) for k in range(cfg.realizations)]
     if cfg.workers > 1:
+        # imported on use, so `import ofbdec` does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_realization, jobs, chunksize=1))
     else:

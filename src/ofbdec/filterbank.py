@@ -300,14 +300,18 @@ def synthesize_ls(poly, y, window=8):
     Parameters
     ----------
     poly : Polyphase
-    y : (T, M) array of subband blocks
+    y : (..., T, M) array of subband blocks: one stream, or a stack of
+        streams of equal length along the leading axes
     window : number of block equations per solve, at least 2*(L+1)
 
-    Returns the reconstructed signal as a 1-d array of length T*N.
+    Returns the reconstructed signals as an array of shape (..., T*N).
+    Each window product is a stacked matmul, one product of the
+    one-stream shape per stream, so a stream is synthesized bit for bit
+    as it is alone.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[1] != poly.M:
-        raise ValueError("subband array must have shape (T, M)")
+    if y.ndim < 2 or y.shape[-1] != poly.M:
+        raise ValueError("subband array must have shape (..., T, M)")
     M, N, L = poly.M, poly.N, poly.L
     if window < 2 * (L + 1):
         raise ValueError(f"window must be at least {2 * (L + 1)}")
@@ -318,20 +322,20 @@ def synthesize_ls(poly, y, window=8):
     # block i solves equations i-back .. i+fwd, clipped to the stream,
     # over unknowns from hist blocks before the first equation; every
     # block of one window shape shares one cached solve
-    T = y.shape[0]
+    lead, T = y.shape[:-2], y.shape[-2]
     i = np.arange(T)
     back = np.minimum(i, (window - 1) // 2)
     fwd = np.minimum(T - 1 - i, window // 2)
     hist = np.minimum(i - back, L)
     shapes, which = np.unique(np.stack([back, fwd, hist], axis=1), axis=0, return_inverse=True)
-    y_flat = y.ravel()
-    x_hat = np.zeros((T, N))
+    y_flat = y.reshape(math.prod(lead), T * M)
+    x_hat = np.zeros((y_flat.shape[0], T, N))
     for k, (b, f, h) in enumerate(shapes.tolist()):
         blocks = np.flatnonzero(which == k)
         rows = poly.synthesis_rows(b, f, h)
-        windows = y_flat[(blocks[:, None] - b) * M + np.arange(rows.shape[1])]
-        x_hat[blocks] = windows @ rows.T
-    return x_hat.ravel()
+        windows = y_flat[:, (blocks[:, None] - b) * M + np.arange(rows.shape[1])]
+        x_hat[:, blocks] = windows @ rows.T
+    return x_hat.reshape(*lead, T * N)
 
 
 def _parse_bank_text(text, origin):

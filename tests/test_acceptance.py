@@ -110,12 +110,10 @@ def test_2_small_instance_oracles(tiny_pipe):
         X1 = orng.uniform(xh_lo, xh_hi, size=(n_samp, 2))
         X2 = orng.uniform(input_box.lo, input_box.hi, size=(n_samp, 2))
         codes = (q.quantize_block(X0 @ E0.T + X1 @ E1.T) + 2) @ weights
-        feas = np.zeros(64, dtype=bool)
-        feas[np.unique(codes)] = True
+        feas = np.bincount(codes, minlength=64) > 0
         y_prev = X1 @ E0.T + X2 @ E1.T
         ok_prev = np.all((y_prev >= yh_lo) & (y_prev <= yh_hi), axis=1)
-        feas_pct = np.zeros(64, dtype=bool)
-        feas_pct[np.unique(codes[ok_prev])] = True
+        feas_pct = np.bincount(codes[ok_prev], minlength=64) > 0
 
         step(r[i], state, poly, parity, q, ch, cfg)
 

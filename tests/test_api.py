@@ -95,12 +95,26 @@ def test_members_reached_from_outside():
     }
 
 
-def test_import_loads_no_scipy():
-    # scipy costs about a second of start-up; only box_hull_lp needs it,
-    # and imports it when called
-    code = "import sys, ofbdec; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _loaded_by_import(package):
+    """Modules of a top-level package that a fresh `import ofbdec` loads."""
+    code = (
+        "import sys, ofbdec; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about a second of start-up; only box_hull_lp needs it,
+    # and imports it when called
+    assert _loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_multiprocessing():
+    # multiprocessing pulls in socket, tempfile and more; run_sweep
+    # imports the process pool only when it starts worker processes
+    assert _loaded_by_import("multiprocessing") == "[]"

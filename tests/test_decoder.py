@@ -513,6 +513,35 @@ class TestSoftBitValidation:
             decode_classical(r, p.poly, p.q)
 
 
+class TestStackedClassical:
+    """decode_classical on (S, T, bits) stacks decodes every stream as
+    it decodes alone, and checks every stream as it checks one."""
+
+    def test_matches_streams_alone(self, default_pipe):
+        p = default_pipe
+        _, rs = noisy_streams(p, 200, (3.0, 7.0, 11.0), seed=3)
+        for window in (4, 8):
+            got = decode_classical(np.stack(rs), p.poly, p.q, window=window)
+            assert got.shape == (3, rs[0].shape[0] * p.poly.N)
+            for s, r in enumerate(rs):
+                assert got[s].tobytes() == decode_classical(r, p.poly, p.q, window).tobytes()
+
+    def test_bad_stream_rejected(self, default_pipe):
+        p = default_pipe
+        bits = p.q.total_bits
+        _, rs = noisy_streams(p, 40, (5.0, 6.0, 7.0), seed=1)
+        r = np.stack(rs)
+        with pytest.raises(ValueError, match=f"^expected {bits} bits per instant$"):
+            decode_classical(np.concatenate([r, r[..., :3]], axis=2), p.poly, p.q)
+        with pytest.raises(ValueError, match=f"^expected {bits} bits per instant$"):
+            decode_classical(r[0, 0], p.poly, p.q)
+        for bad in (0, 2):  # the first and the last stream
+            non_finite = r.copy()
+            non_finite[bad, 7, 3] = np.nan
+            with pytest.raises(ValueError, match="^soft bits must be finite$"):
+                decode_classical(non_finite, p.poly, p.q)
+
+
 class TestLockstep:
     """decode_streams runs every stream exactly as decode_sequence runs
     it alone, whatever runs beside it."""
@@ -557,6 +586,26 @@ class TestLockstep:
             decode_streams(rs, p.poly, p.parity, p.q, channels, [], p.x_range)
         with pytest.raises(ValueError, match="^decode_streams needs at least one decoder config$"):
             decode_streams(rs, p.poly, p.parity, p.q, channels, iter(()), p.x_range)
+
+    def test_bad_second_stream_fails_its_own_check(self, tiny_pipe):
+        """Each stream is checked, then its length, before the streams
+        are joined for listing, so a bad stream fails with the message
+        it gets alone."""
+        p = tiny_pipe
+        bits = p.q.total_bits
+        channels, (r0, r1) = noisy_streams(p, 40, (5.0, 6.0), seed=1)
+        non_finite = r1.copy()
+        non_finite[3, 1] = np.nan
+        cases = [
+            (np.ones((r1.shape[0], bits + 1)), f"^expected {bits} bits per instant$"),
+            (r1[None], f"^expected {bits} bits per instant$"),
+            (non_finite, "^soft bits must be finite$"),
+            (r1[:-1], "^lockstep streams must have equal length$"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                decode_streams([r0, bad], p.poly, p.parity, p.q, channels,
+                               [DecoderConfig()], p.x_range)
 
     def test_configs_must_share_list_and_contractor(self, tiny_pipe):
         p = tiny_pipe

@@ -215,6 +215,20 @@ class TestSynthesizeLS:
         with pytest.raises(ValueError, match="shape"):
             synthesize_ls(default_pipe.poly, np.zeros((4, 3)), window=8)
 
+    @pytest.mark.parametrize("lead", [(3,), (3, 2)])
+    @pytest.mark.parametrize("window", [4, 6, 8])
+    def test_stacked_streams_synthesize_as_alone(self, default_pipe, lead, window):
+        poly = default_pipe.poly
+        rng = np.random.default_rng(window)
+        for T in (0, 1, 5, 26):
+            y = rng.normal(size=(*lead, T, poly.M))
+            got = synthesize_ls(poly, y, window=window)
+            assert got.shape == (*lead, T * poly.N)
+            for idx in np.ndindex(*lead):
+                assert got[idx].tobytes() == synthesize_ls(poly, y[idx], window=window).tobytes()
+        with pytest.raises(ValueError, match="shape"):
+            synthesize_ls(poly, np.zeros(poly.M), window=window)
+
     @pytest.mark.parametrize("pipe", ["tiny_pipe", "default_pipe"])
     @pytest.mark.parametrize("window", ["floor", 8, 9])
     def test_every_block_solves_its_clipped_window(self, pipe, window, request):

@@ -111,6 +111,62 @@ class TestFrontierPaths:
         assert sum(rows for rows, width in calls if width == 64 * 64) == 2000 * (q.M - 1)
 
 
+class TestStreamsInOnePass:
+    """decode_streams lists the instants of all its streams in one call,
+    each row scored with its own channel's noise variance as a (rows, 1)
+    column; every stream keeps the indexes and score bytes of its own
+    scalar call, row for row."""
+
+    T = 50
+
+    def _check(self, q, rs, sig2s, n_max):
+        col = np.repeat(sig2s, self.T)[:, None]
+        u, scores = _candidate_lists(np.concatenate(rs), q, col, n_max)
+        for s, (r, sig2) in enumerate(zip(rs, sig2s)):
+            want_u, want_s = _candidate_lists(r, q, sig2, n_max)
+            rows = slice(s * self.T, (s + 1) * self.T)
+            assert np.array_equal(u[rows], want_u)
+            assert scores[rows].tobytes() == want_s.tobytes()
+
+    def _streams(self, q, snrs, seed):
+        channels = [ChannelModel(snr, seed=seed) for snr in snrs]
+        bits = channels[0].stream(0).integers(0, 2, size=(self.T, q.total_bits))
+        rs = [ch.transmit(bits, ch.stream(1, j)) for j, ch in enumerate(channels)]
+        return rs, [ch.effective_sigma2() for ch in channels]
+
+    def test_chunks_that_cross_streams(self, default_pipe, monkeypatch):
+        q = image_quantizers(default_pipe)
+        rs, sig2s = self._streams(q, (4.0, 7.0, 10.0), seed=3)
+        chunks = []
+        original = decoder._list_chunk
+
+        def spy(r, q, sig2, n_max):
+            chunks.append(r.shape[0])
+            return original(r, q, sig2, n_max)
+
+        monkeypatch.setattr(decoder, "_list_chunk", spy)
+        _candidate_lists(np.concatenate(rs), q, np.repeat(sig2s, self.T)[:, None], 64)
+        monkeypatch.undo()
+        ends = np.cumsum(chunks)
+        assert ends[-1] == 3 * self.T
+        # some chunk holds the last rows of one stream and the first of the next
+        assert any(e - c < s * self.T < e for c, e in zip(chunks, ends) for s in (1, 2))
+        self._check(q, rs, sig2s, 64)
+
+    def test_a_stream_of_ties_beside_noisy_streams(self, default_pipe, monkeypatch):
+        q = image_quantizers(default_pipe)
+        rs, sig2s = self._streams(q, (5.0, 7.0, 9.0), seed=4)
+        rs[1] = np.zeros_like(rs[1])  # every index vector ties: the full merge
+        calls = recorded_merges(monkeypatch)
+        self._check(q, rs, sig2s, 64)
+        assert any(width == 64 * 64 for _, width in calls)
+
+    def test_noise_variances_a_million_apart(self, default_pipe):
+        q = default_pipe.q
+        rs, _ = self._streams(q, (0.0, 0.0, 0.0), seed=5)
+        self._check(q, rs, [1e-3, 1.0, 1e3], 20)
+
+
 @st.composite
 def quantizer_banks(draw):
     M = draw(st.integers(1, 6))
