@@ -26,10 +26,13 @@ module serves the tests as an oracle.
 Decoding runs in lockstep: B independent streams advance one instant at
 a time together, their histories held as arrays of shape (B, L, N) and
 (B, L', M), so each of the steps above is one numpy pass over all B*K
-candidates, or over the B picks for the box step.  The candidate
-lists of all streams are built beforehand, in one listing pass over
-their instants, and shared by every decoder variant that reads the
-same soft bits; the decoded streams of each variant are then
+candidates, or over the B picks for the box step.  What does not
+depend on the decoded history is computed once per realization: the
+candidate lists of all streams, in one listing pass shared by every
+decoder variant reading the same soft bits; the parity test's P_0
+terms of their cells; the input-box columns of the consistency offsets,
+whose cell columns each instant rewrites.  The box step reuses the
+verdict step's offsets of the picks, and each variant's streams are
 synthesized in one stacked call.  A single stream (decode_sequence,
 step) is the case B = 1.  Every matrix product keeps the shape it has
 for one stream, so a stream decodes bit for bit the same whatever else
@@ -57,7 +60,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .filterbank import synthesize_ls
-from .interval import Box, _certificate_box, _circuit_empty
+from .interval import Box, _certificate_box, _circuit_empty, _offset_scale
 
 __all__ = [
     "FLAG_CLEAN",
@@ -84,10 +87,10 @@ FLAG_NO_CONSISTENT = 1
 FLAG_PARITY_EXHAUSTED = 2
 
 _PARITY_RTOL = 1e-12
-# elements of the largest array one chunk of candidate listing builds:
-# chunk * (frontier pairs of a stage) merged partial vectors, or chunk *
-# 2^R * R soft-bit distances of an R-bit subband; a tie fallback merges
-# at most this many of its full P * S pairs at once
+# elements of the largest array one chunk of candidate listing builds,
+# chunk * (frontier pairs of a stage) merged partial vectors, and of the
+# chunk * 2^R * R bit terms summed into an R-bit subband's code scores;
+# a tie fallback merges at most this many of its full P * S pairs at once
 _LIST_CHUNK_ELEMENTS = 2**15
 # smallest accepted config values; the bank-dependent window floor,
 # 2*(L+1), is checked by synthesize_ls and when a Pipeline is built
@@ -165,9 +168,13 @@ class DecoderState:
     x_lo, x_hi of shape (B, L, N) and y_lo, y_hi of shape (B, L', M).
     """
 
+    _SLOTS = 64  # pushes one backing store of the histories takes (see _push)
+
     def __init__(self, input_box, x_lo, x_hi, y_lo, y_hi):
         self.input_box = input_box
         self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
+        self._store = None  # [backing arrays, lowest slot written]
+        self._at = 0  # the slot of the histories' most recent entry
 
     @classmethod
     def initial(cls, input_box, poly, parity, streams=1):
@@ -180,13 +187,23 @@ class DecoderState:
         return cls(input_box, np.zeros(x), np.zeros(x), np.zeros(y), np.zeros(y))
 
     def _push(self, x_lo, x_hi, y_lo, y_hi):
-        """Push (B, N) signal and (B, M) subband box endpoints."""
-        if self.x_lo.shape[1]:
-            self.x_lo = np.concatenate([x_lo[:, None], self.x_lo[:, :-1]], axis=1)
-            self.x_hi = np.concatenate([x_hi[:, None], self.x_hi[:, :-1]], axis=1)
-        if self.y_lo.shape[1]:
-            self.y_lo = np.concatenate([y_lo[:, None], self.y_lo[:, :-1]], axis=1)
-            self.y_hi = np.concatenate([y_hi[:, None], self.y_hi[:, :-1]], axis=1)
+        """Push (B, N) signal and (B, M) subband box endpoints into the
+        free slot in front of each history's window on a backing array,
+        and move the window onto it: no array read before changes.  A
+        full store, or one a copy of the state pushed into, is renewed."""
+        hist = (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
+        if self._at == 0 or self._store is None or self._store[1] != self._at:
+            free = [np.empty((h.shape[0], self._SLOTS) + h.shape[2:]) for h in hist]
+            self._at = self._SLOTS
+            self._store = [[np.concatenate(b, axis=1) for b in zip(free, hist)], self._at]
+        at = self._store[1] = self._at = self._at - 1
+        bufs = self._store[0]
+        for buf, new, h in zip(bufs, (x_lo, x_hi, y_lo, y_hi), hist):
+            if h.shape[1]:  # a history of length 0 keeps nothing
+                buf[:, at] = new
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi = (
+            buf[:, at:at + h.shape[1]] for buf, h in zip(bufs, hist)
+        )
 
 
 def _matvec(A, X):
@@ -218,9 +235,9 @@ def _candidate_lists(r, q, sig2, n_max):
     being the list length (n_max, or fewer when the bank has fewer
     index vectors).  Instants are listed in chunks whose length comes
     from the widest array a stage builds: its frontier pairs (see
-    _merge_pairs), not all n_max^2 of them, or its soft-bit distances;
-    each such array, and each tie fallback's sub-chunk, holds at most
-    _LIST_CHUNK_ELEMENTS elements.
+    _merge_pairs), not all n_max^2 of them, or the bit terms of its
+    code scores; each such array, and each tie fallback's sub-chunk,
+    holds at most _LIST_CHUNK_ELEMENTS elements.
     """
     r = _soft_bits(r, q)
     T = r.shape[0]
@@ -266,6 +283,36 @@ def _merge_pairs(P, S, n):
     return pair_p, pair_s, front_p, front_s
 
 
+@functools.lru_cache(maxsize=None)
+def _sum_tree(R):
+    """np.sum's order of additions over a contiguous row of R <= 16
+    terms t_j, as nested pairs of term indexes: left to right below 8;
+    else ((a_0+a_1)+(a_2+a_3))+((a_4+a_5)+(a_6+a_7)), a_j = t_j (plus
+    t_{j+8} when R = 16), then t_8, t_9, ... left to right."""
+    if R < 8:
+        return functools.reduce(lambda a, j: (a, j), range(1, R), 0)
+    acc = [(j, j + 8) if R == 16 else j for j in range(8)]
+    tree = (((acc[0], acc[1]), (acc[2], acc[3])), ((acc[4], acc[5]), (acc[6], acc[7])))
+    return functools.reduce(lambda a, j: (a, j), range(16 if R == 16 else 8, R), tree)
+
+
+@functools.lru_cache(maxsize=64)
+def _code_positions(q, m):
+    """Where each codeword of subband m, in index order, sits in the
+    table of _tree_sums, found by summing the bits' place values."""
+    w = 1 << np.arange(int(q.rates[m]) - 1, -1, -1)
+    slots = _tree_sums(np.stack([0 * w, w], axis=1)[None], _sum_tree(w.size))[0]
+    return np.argsort(slots)[q.index_codes(m) @ w]
+
+
+def _tree_sums(dist, tree):
+    """Sums of one dist term per bit along tree, for every code: outer sums."""
+    if isinstance(tree, int):
+        return dist[:, tree]
+    a, b = (_tree_sums(dist, t) for t in tree)
+    return (a[:, :, None] + b[:, None, :]).reshape(a.shape[0], -1)
+
+
 def _list_chunk(r, q, sig2, n_max):
     """Breadth-first listing over subbands for a chunk of instants.
 
@@ -276,7 +323,13 @@ def _list_chunk(r, q, sig2, n_max):
     first, the surviving list equals the top of the exhaustive ranking.
     The lexicographic order of a new partial is that of (its parent's
     lexicographic rank, its new index), so no sort looks at whole
-    vectors.
+    vectors; the partials are kept as per-stage back-pointers and traced
+    back once.
+
+    A stage sums its 2^R code scores from a (rows, R, 2) table of
+    per-bit squared distances along the tree of np.sum's additions
+    (_sum_tree, _tree_sums): bit for bit np.sum over each codeword's
+    distances, at O(2^R) cost.
 
     A stage ranks only the dominance frontier of its P x S pairs (see
     _merge_pairs): 280 of 4096 pairs at n_max 64.  A pair beyond it
@@ -289,20 +342,20 @@ def _list_chunk(r, q, sig2, n_max):
     merge.
     """
     C = r.shape[0]
-    part_u = np.zeros((C, 1, 0), dtype=np.int64)
+    at = np.arange(C)[:, None]  # the row of every per-row gather
     part_scores = np.zeros((C, 1))
     part_rank = np.zeros((C, 1), dtype=np.int64)  # lexicographic rank
+    parents, picks = [], []
     for m in range(q.M):
-        codes = q.index_codes(m)
-        symbols = 1.0 - 2.0 * codes.astype(float)
-        rm = r[:, q.bit_slices[m]]
-        scores = -np.sum((rm[:, None, :] - symbols) ** 2, axis=2) / (2.0 * sig2)
+        dist = (r[:, q.bit_slices[m], None] - np.array([1.0, -1.0])) ** 2  # bit 0 sends +1
+        sums = _tree_sums(dist, _sum_tree(dist.shape[1]))[:, _code_positions(q, m)]
+        scores = -sums / (2.0 * sig2)
         # ties keep index order, which is ascending u
         stage = np.argsort(-scores, axis=1, kind="stable")[:, :n_max]
-        stage_scores = np.take_along_axis(scores, stage, axis=1)
+        stage_scores = scores[at, stage]
 
         P, S = part_scores.shape[1], stage.shape[1]
-        n_codes = codes.shape[0]
+        n_codes = scores.shape[1]
         pair_p, pair_s, front_p, front_s = _merge_pairs(P, S, n_max)
         new_scores = part_scores[:, pair_p] + stage_scores[:, pair_s]
         lex = part_rank[:, pair_p] * n_codes + stage[:, pair_s]
@@ -310,7 +363,7 @@ def _list_chunk(r, q, sig2, n_max):
         parent, col = pair_p[order], pair_s[order]
         if front_p.size:
             beyond = np.max(part_scores[:, front_p] + stage_scores[:, front_s], axis=1)
-            nth = np.take_along_axis(new_scores, order[:, -1:], axis=1)[:, 0]
+            nth = new_scores[at[:, 0], order[:, -1]]
             tied = np.flatnonzero(beyond >= nth)
             sub = max(1, _LIST_CHUNK_ELEMENTS // (P * S))
             for i in range(0, tied.size, sub):
@@ -320,38 +373,42 @@ def _list_chunk(r, q, sig2, n_max):
                 shape = (rows.size, P * S)
                 full = _best_first(-full_scores.reshape(shape), full_lex.reshape(shape), n_max)
                 parent[rows], col[rows] = full // S, full % S
-        picked = np.take_along_axis(stage, col, axis=1)
-        part_u = np.concatenate(
-            [np.take_along_axis(part_u, parent[:, :, None], axis=1),
-             (picked - q.offsets[m])[:, :, None]],
-            axis=2,
-        )
-        part_scores = (
-            np.take_along_axis(part_scores, parent, axis=1)
-            + np.take_along_axis(stage_scores, col, axis=1)
-        )
-        kept = np.take_along_axis(part_rank, parent, axis=1) * n_codes + picked
-        part_rank = np.argsort(np.argsort(kept, axis=1), axis=1)
-    return part_u, part_scores
+        picked = stage[at, col]
+        parents.append(parent)
+        picks.append(picked - q.offsets[m])
+        part_scores = part_scores[at, parent] + stage_scores[at, col]
+        kept = part_rank[at, parent] * n_codes + picked
+        by_lex = kept.argsort(axis=1)
+        part_rank = np.empty_like(by_lex)
+        part_rank[at, by_lex] = np.arange(by_lex.shape[1])
+    u = np.empty(part_scores.shape + (q.M,), dtype=np.int64)
+    k = np.broadcast_to(np.arange(u.shape[1]), part_scores.shape)
+    for m in range(q.M - 1, -1, -1):
+        u[:, :, m] = picks[m][at, k]
+        k = parents[m][at, k]
+    return u, part_scores
 
 
 def _best_first(neg, lex, n):
     """Column indexes of the n smallest entries of each row of neg,
     ordered by (neg, lex), the lex entries of a row being distinct.
 
-    Only entries no larger than a row's n-th smallest value can be
-    among its first n, so a partition finds them and only they are
-    sorted; the rows' shorter selections are padded with entries that
-    sort last.
+    A partition finds each row's n smallest entries, which are sorted
+    by neg alone: that is the (neg, lex) order unless two of them are
+    equal or the n-th equals an entry left out.  Only rows with such a
+    tie are sorted whole by (neg, lex).
     """
-    n = min(n, neg.shape[1])
-    nth = np.partition(neg, n - 1, axis=1)[:, n - 1:n]
-    near = neg <= nth
-    cols = np.argsort(~near, axis=1, kind="stable")[:, :int(near.sum(axis=1).max())]
-    pad = ~np.take_along_axis(near, cols, axis=1)
-    sub_neg = np.where(pad, np.inf, np.take_along_axis(neg, cols, axis=1))
-    sub_lex = np.where(pad, np.iinfo(np.int64).max, np.take_along_axis(lex, cols, axis=1))
-    return np.take_along_axis(cols, np.lexsort((sub_lex, sub_neg), axis=1)[:, :n], axis=1)
+    rows, width = neg.shape
+    n = min(n, width)
+    at = np.arange(rows)[:, None]
+    part = np.argpartition(neg, (n - 1, n) if n < width else n - 1, axis=1)
+    cols = part[at, neg[at, part[:, :n]].argsort(axis=1)]
+    vals = neg[at, cols]
+    tied = (vals[:, 1:] == vals[:, :-1]).any(axis=1)
+    if n < width:
+        tied |= neg[at[:, 0], part[:, n]] == vals[:, -1]
+    cols[tied] = np.lexsort((lex[tied], neg[tied]), axis=1)[:, :n]
+    return cols
 
 
 def top_candidates(r, q, ch, n_max):
@@ -386,7 +443,17 @@ def _history_reach(state, poly):
     return c - rdy, c + rdy
 
 
-def _consistency_batch(cell_lo, cell_hi, state, poly):
+def _offset_buffers(input_box, B, K, M):
+    """The centre and radius of the (B, K, N + M) offsets of
+    _consistency_batch, their constant input-box columns filled in."""
+    N = input_box.dim
+    c, r = np.empty((2, B, K, N + M))
+    c[..., :N] = 0.5 * (input_box.lo + input_box.hi)
+    r[..., :N] = 0.5 * (input_box.hi - input_box.lo)
+    return c, r
+
+
+def _consistency_batch(cell_lo, cell_hi, state, poly, offsets=None):
     """Offsets of the polytope of input blocks that can reach each
     candidate's cells, and the verdict step on them, for every stream
     at once.
@@ -394,26 +461,26 @@ def _consistency_batch(cell_lo, cell_hi, state, poly):
     cell_lo, cell_hi are the (B, K, M) cell endpoints of each stream's
     K candidates.  The polytope is {x : l <= [I_N; E_0] x <= u}: x in
     the input box and E_0 x in [c], [c] being the cells minus the
-    history reach.  Returns (l, u, empty): the (B, K, N + M) offsets and
-    the (B, K) mask of candidates that a circuit of the bank's
-    consistency certificates proves inconsistent (interval._circuit_empty,
-    one matrix product).  On banks whose subsets all fit under
-    HULL_SUBSET_CAP the set is exact and its circuits prove EMPTY
-    exactly the candidates no input reaches.  On larger banks EMPTY is
-    proven only where a circuit of the bases near the input box
-    reaches.  The box of a candidate is the box step on its offsets
-    (interval._certificate_box), which _advance runs on each stream's
-    pick alone.
+    history reach.  Returns (c, r, empty, scale): the centre and radius
+    of the (B, K, N + M) offsets [l, u] (in the buffers offsets, when
+    given), the (B, K) mask of candidates that a circuit of the bank's
+    certificates proves inconsistent (interval._circuit_empty, one
+    matrix product), and their (B, K) scale.  On banks whose subsets
+    all fit under HULL_SUBSET_CAP the set is exact and its circuits
+    prove EMPTY exactly the candidates no input reaches.  On larger
+    banks EMPTY is proven only where a circuit of the bases near the
+    input box reaches.  The box of a candidate is the box step on its
+    rows of c, r and scale (interval._certificate_box), which _advance
+    runs on each stream's pick alone.
     """
-    B, K, _ = cell_lo.shape
-    N = poly.N
     reach_lo, reach_hi = _history_reach(state, poly)
+    c, r = offsets or _offset_buffers(state.input_box, *cell_lo.shape[:2], poly.M)
     c_lo = cell_lo - reach_hi[:, None, :]
     c_hi = cell_hi - reach_lo[:, None, :]
-    input_box = state.input_box
-    l = np.concatenate([np.broadcast_to(input_box.lo, (B, K, N)), c_lo], axis=2)
-    u = np.concatenate([np.broadcast_to(input_box.hi, (B, K, N)), c_hi], axis=2)
-    return l, u, _circuit_empty(poly.consistency_certificates(), l, u)
+    np.multiply(0.5, c_lo + c_hi, out=c[..., poly.N:])
+    np.multiply(0.5, c_hi - c_lo, out=r[..., poly.N:])
+    scale = _offset_scale(c, r)
+    return c, r, _circuit_empty(poly.consistency_certificates(), c, r, scale), scale
 
 
 def consistency_box(u, state, poly, q):
@@ -425,39 +492,44 @@ def consistency_box(u, state, poly, q):
     the verdict step of _consistency_batch, then the box step, whose
     crossed bounds also prove EMPTY."""
     cell_lo, cell_hi = q.cell_bounds(np.asarray(u, dtype=np.int64).reshape(1, 1, -1))
-    l, u, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
+    c, r, empty, scale = _consistency_batch(cell_lo, cell_hi, state, poly)
     if empty[0, 0]:
         return Box.empty(poly.N)
-    lo, hi, crossed = _certificate_box(poly.consistency_certificates(), l, u)
+    lo, hi, crossed = _certificate_box(poly.consistency_certificates(), c, r, scale)
     if crossed[0, 0]:
         return Box.empty(poly.N)
     return Box(lo[0, 0], hi[0, 0])
 
 
-def _parity_residual_bounds(cell_lo, cell_hi, y_lo, y_hi, parity):
+def _parity_cell_terms(cell_lo, cell_hi, parity):
+    """The history-free half of the parity residual: P_0 and |P_0| on the
+    centre and radius of (..., K, M) cells, one product per (K, M) block."""
+    return (0.5 * (cell_lo + cell_hi) @ parity.P[0].T,
+            0.5 * (cell_hi - cell_lo) @ np.abs(parity.P[0]).T)
+
+
+def _parity_residual_bounds(cc, cr, y_lo, y_hi, parity):
     """Endpoints of the parity residual interval of every candidate:
     sum_l P_l [y-hist] plus P_0 applied to the candidate's cells.
 
-    cell_lo, cell_hi: (B, K, M) candidate cells; y_lo, y_hi: (B, L', M)
-    subband histories.  Returns two (B, K, rows) arrays.
+    cc, cr: (B, K, rows) cell terms (_parity_cell_terms); y_lo, y_hi:
+    (B, L', M) subband histories.  Returns two (B, K, rows) arrays.
     """
-    B = cell_lo.shape[0]
+    B = cc.shape[0]
     hc = np.zeros((B, parity.rows))
     hr = np.zeros((B, parity.rows))
     for l in range(1, parity.order + 1):
         lo, hi = y_lo[:, l - 1], y_hi[:, l - 1]
         hc = hc + _matvec(parity.P[l], 0.5 * (lo + hi))
         hr = hr + _matvec(np.abs(parity.P[l]), 0.5 * (hi - lo))
-    cc = 0.5 * (cell_lo + cell_hi) @ parity.P[0].T
-    cr = 0.5 * (cell_hi - cell_lo) @ np.abs(parity.P[0]).T
-    lo = cc + hc[:, None] - (cr + hr[:, None])
-    hi = cc + hc[:, None] + (cr + hr[:, None])
-    return lo, hi
+    mid = cc + hc[:, None]
+    rad = cr + hr[:, None]
+    return mid - rad, mid + rad
 
 
 def _parity_pass(lo, hi):
     eps = _PARITY_RTOL * (1.0 + np.abs(lo) + np.abs(hi))
-    return np.all((lo <= eps) & (hi >= -eps), axis=-1)
+    return ((lo <= eps) & (hi >= -eps)).all(axis=-1)
 
 
 def parity_test(u, state, parity, q):
@@ -465,7 +537,8 @@ def parity_test(u, state, parity, q):
     the candidate's subbands roam their cells and the previous subbands
     roam their decoded boxes.  A False is a proof of infeasibility."""
     cell_lo, cell_hi = q.cell_bounds(np.asarray(u, dtype=np.int64).reshape(1, 1, -1))
-    lo, hi = _parity_residual_bounds(cell_lo, cell_hi, state.y_lo, state.y_hi, parity)
+    cc, cr = _parity_cell_terms(cell_lo, cell_hi, parity)
+    lo, hi = _parity_residual_bounds(cc, cr, state.y_lo, state.y_hi, parity)
     return bool(_parity_pass(lo[0], hi[0])[0])
 
 
@@ -485,53 +558,58 @@ def _fallback(u, x_lo, x_hi, input_box, poly, q):
     return np.maximum(point - rad, input_box.lo), np.minimum(point + rad, input_box.hi)
 
 
-def _advance(state, u, cell_lo, cell_hi, use_pct, poly, parity, q):
+def _advance(state, u, cell_lo, cell_hi, use_pct, poly, parity, q, cell_terms=None,
+             offsets=None):
     """Decode one instant of B streams and push their boxes onto the
     history.
 
-    u holds each stream's (B, K, M) candidates in likelihood order and
-    cell_lo, cell_hi their cells; use_pct is a (B,) mask.  Candidates
-    are scanned in likelihood order: the consistency verdicts prune
-    first; on streams with use_pct the parity test then picks the first
-    survivor it accepts (falling back to the first survivor with an
-    error flag when it accepts none).  The box step then bounds each
-    stream's pick alone, in (B, 1, N + M) products whose rows round as
-    they do for one stream; a pick whose bounds cross is EMPTY too, and
-    its stream picks again.  When consistency rejects everything, the
-    flagged hard-decision fallback is returned.
+    u holds each stream's (B, K, M) candidates in likelihood order,
+    cell_lo, cell_hi their cells and cell_terms their parity cell terms
+    (_parity_cell_terms), read where the (B,) mask use_pct is set;
+    offsets are _offset_buffers to reuse.  The consistency verdicts
+    prune first; on streams with use_pct the parity test then picks the
+    first survivor it accepts (falling back to the first survivor with
+    an error flag when it accepts none).  The box step then bounds each
+    stream's pick alone, from its rows of the verdict step's c, r and
+    scale, in (B, 1, N + M) products whose rows round as they do for one
+    stream; a pick whose bounds cross is EMPTY too, and its stream picks
+    again.  When consistency rejects everything, the flagged
+    hard-decision fallback is returned.
 
     Returns (u_hat, x_lo, x_hi, y_lo, y_hi, flag, pick, n_consistent),
     one row per stream; pick is the 0-based list position decided.
     """
     B = u.shape[0]
     rows = np.arange(B)
-    l, h, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
+    c, r, empty, scale = _consistency_batch(cell_lo, cell_hi, state, poly, offsets)
     cert = poly.consistency_certificates()
     live = ~empty
-    par = np.flatnonzero(use_pct & live.any(axis=1))
+    par = (use_pct & live.any(axis=1)).nonzero()[0]
     ok = np.zeros_like(live)  # live candidates the parity test accepts
     if par.size:
         plo, phi = _parity_residual_bounds(
-            cell_lo[par], cell_hi[par], state.y_lo[par], state.y_hi[par], parity
+            cell_terms[0][par], cell_terms[1][par], state.y_lo[par], state.y_hi[par], parity
         )
         tested = np.zeros_like(live)
         tested[par] = live[par]
-        ok[tested] = _parity_pass(plo[live[par]], phi[live[par]])
+        ok[tested] = _parity_pass(plo[tested[par]], phi[tested[par]])
     while True:
-        n_consistent = np.count_nonzero(live, axis=1)
-        flag = np.where(n_consistent > 0, FLAG_CLEAN, FLAG_NO_CONSISTENT)
+        n_consistent = live.sum(axis=1)
         ok &= live
         found = ok.any(axis=1)
         by_parity = use_pct & (n_consistent > 0)
-        pick = np.where(by_parity & found, np.argmax(ok, axis=1), np.argmax(live, axis=1))
-        flag = np.where(by_parity & ~found, FLAG_PARITY_EXHAUSTED, flag)
-        x_lo, x_hi, crossed = _certificate_box(cert, l[rows, pick][:, None], h[rows, pick][:, None])
+        pick = np.where(by_parity & found, ok.argmax(axis=1), live.argmax(axis=1))
+        x_lo, x_hi, crossed = _certificate_box(
+            cert, c[rows, pick][:, None], r[rows, pick][:, None], scale[rows, pick][:, None]
+        )
         crossed = crossed[:, 0] & (n_consistent > 0)
         if not crossed.any():
             break
         live[rows[crossed], pick[crossed]] = False
+    flag = np.where(n_consistent > 0, FLAG_CLEAN, FLAG_NO_CONSISTENT)
+    flag[by_parity & ~found] = FLAG_PARITY_EXHAUSTED
     x_lo, x_hi = x_lo[:, 0], x_hi[:, 0]
-    fb = np.flatnonzero(n_consistent == 0)
+    fb = (n_consistent == 0).nonzero()[0]
     if fb.size:
         x_lo[fb], x_hi[fb] = _fallback(
             u[fb, 0], state.x_lo[fb], state.x_hi[fb], state.input_box, poly, q
@@ -549,7 +627,8 @@ def step(r_inst, state, poly, parity, q, ch, cfg):
     u = np.stack([c.u for c in top_candidates(r_inst, q, ch, cfg.n_max)])[None]
     cell_lo, cell_hi = q.cell_bounds(u)
     u_hat, x_lo, x_hi, y_lo, y_hi, flag, pick, n_consistent = _advance(
-        state, u, cell_lo, cell_hi, np.array([cfg.use_pct]), poly, parity, q
+        state, u, cell_lo, cell_hi, np.array([cfg.use_pct]), poly, parity, q,
+        _parity_cell_terms(cell_lo, cell_hi, parity) if cfg.use_pct else None,
     )
     return StepResult(
         u_hat=u_hat[0],
@@ -625,11 +704,14 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
     u = u.reshape(S, T, *u.shape[1:])  # (S, T, K, M)
     cell_lo, cell_hi = q.cell_bounds(u)
     B = S * V
-    src = np.repeat(np.arange(S), V)  # stream b = s * V + v reads list s
+    src = np.repeat(np.arange(S), V) if V > 1 else slice(None)  # b = s * V + v reads list s
     use_pct = np.array([c.use_pct for c in cfgs] * S)
+    # the (S, T, K, rows) parity cell terms, when a decoder reads them
+    terms = _parity_cell_terms(cell_lo, cell_hi, parity) if use_pct.any() else None
     N, M = poly.N, poly.M
     input_box = Box.uniform(x_range.lo, x_range.hi, N)
     state = DecoderState.initial(input_box, poly, parity, streams=B)
+    offsets = _offset_buffers(input_box, B, u.shape[2], M)
     u_hat = np.empty((B, T, M), dtype=np.int64)
     lo = np.empty((B, T, N))
     hi = np.empty((B, T, N))
@@ -638,7 +720,8 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
     n_consistent = np.empty((B, T), dtype=np.int64)
     for i in range(T):
         u_hat[:, i], lo[:, i], hi[:, i], _, _, flags[:, i], pick, n_consistent[:, i] = _advance(
-            state, u[src, i], cell_lo[src, i], cell_hi[src, i], use_pct, poly, parity, q
+            state, u[src, i], cell_lo[src, i], cell_hi[src, i], use_pct, poly, parity, q,
+            terms and (terms[0][src, i], terms[1][src, i]), offsets,
         )
         ranks[:, i] = pick + 1
     x_hat = np.empty((B, T * N))

@@ -256,18 +256,17 @@ def _distinct_supports(V):
     return V[np.sort(first)]
 
 
-def _centre_radius_scale(l, u):
-    """Centre and radius of the offsets [l, u], and the magnitude that
-    scales the certificate step's margins."""
-    c = 0.5 * (l + u)
-    r = 0.5 * (u - l)
-    return c, r, 1.0 + np.max(np.abs(c), axis=-1) + np.max(r, axis=-1)
+def _offset_scale(c, r):
+    """The magnitude of each (..., rows) row of offsets with centre c
+    and radius r, which scales the certificate steps' margins."""
+    return 1.0 + np.maximum.reduce(np.abs(c), axis=-1) + np.maximum.reduce(r, axis=-1)
 
 
-def _circuit_empty(cert, l, u):
+def _circuit_empty(cert, c, r, scale):
     """The verdict step: the (...) mask of polytopes {x : l <= A x <= u}
     that a circuit of A proves EMPTY, for each row of the (..., rows)
-    offset arrays l, u.
+    centre c and radius r of the offsets and their (...) scale
+    (_offset_scale).
 
     Only the circuit columns of cert.G are read.  On an exact set they
     prove EMPTY every polytope that is empty; on a smaller family, those
@@ -275,17 +274,16 @@ def _circuit_empty(cert, l, u):
     the certificates' slack, scaled by the offsets' magnitude, so that
     it leans towards keeping a candidate.
     """
-    c, r, scale = _centre_radius_scale(l, u)
     k = cert.circuits
     eps = ((_GAP_RTOL + cert.slack) * scale)[..., None]
     # c.y + r.|y| < 0 or c.y - r.|y| > 0, for r.|y| >= 0
-    return np.any(np.abs(c @ cert.G[:, :k]) - r @ cert.G_abs[:, :k] > eps, axis=-1)
+    return (np.abs(c @ cert.G[:, :k]) - r @ cert.G_abs[:, :k] > eps).any(axis=-1)
 
 
-def _certificate_box(cert, l, u):
+def _certificate_box(cert, c, r, scale):
     """The box step: box hull of {x : l <= A x <= u} for each row of the
-    (..., rows) offset arrays l, u, from the certificate columns of
-    cert.G.
+    (..., rows) centre c and radius r of the offsets and their (...)
+    scale, from the certificate columns of cert.G.
 
     Returns (lo, hi, crossed): (..., n) bounds, exact when cert.exact
     and the polytope is not empty, and the (...) mask of rows whose
@@ -295,7 +293,6 @@ def _certificate_box(cert, l, u):
     collapse to a point.  A polytope is EMPTY when _circuit_empty or
     crossed says so.
     """
-    c, r, scale = _centre_radius_scale(l, u)
     k = cert.circuits
     s_c = c @ cert.G[:, k:]
     s_r = r @ cert.G_abs[:, k:]
@@ -303,7 +300,7 @@ def _certificate_box(cert, l, u):
     hi = np.minimum.reduceat(s_c + s_r, cert.starts, axis=-1) + widen
     lo = np.maximum.reduceat(s_c - s_r, cert.starts, axis=-1) - widen
     gap = lo - hi
-    crossed = np.any(gap > _gap_eps(np.abs(lo) + np.abs(hi)), axis=-1)
+    crossed = (gap > _gap_eps(np.abs(lo) + np.abs(hi))).any(axis=-1)
     touch = gap > 0.0
     mid = 0.5 * (lo + hi)
     return np.where(touch, mid, lo), np.where(touch, mid, hi), crossed

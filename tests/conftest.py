@@ -18,7 +18,7 @@ from ofbdec import (
     polyphase_from_filters,
     subband_ranges,
 )
-from ofbdec.interval import _certificate_box, _circuit_empty
+from ofbdec.interval import _certificate_box, _circuit_empty, _offset_scale
 
 SQ2 = math.sqrt(2.0)
 
@@ -99,11 +99,20 @@ def noisy_streams(pipe, n, snrs, seed):
     return channels, rs
 
 
+def centred(l, u):
+    """The centre, radius and scale of offsets [l, u], the arguments of
+    the certificate steps."""
+    c = 0.5 * (l + u)
+    r = 0.5 * (u - l)
+    return c, r, _offset_scale(c, r)
+
+
 def certificate_hull(cert, l, u):
     """The verdict step and the box step on every row of the offsets:
     (lo, hi, empty), EMPTY where a circuit or crossed bounds prove it."""
-    lo, hi, crossed = _certificate_box(cert, l, u)
-    return lo, hi, _circuit_empty(cert, l, u) | crossed
+    offsets = centred(l, u)
+    lo, hi, crossed = _certificate_box(cert, *offsets)
+    return lo, hi, _circuit_empty(cert, *offsets) | crossed
 
 
 def one_stream_state(input_box, x_hist=(), y_hist=()):

@@ -1,5 +1,6 @@
 """Candidate listing, consistency and parity tests, and the decoders."""
 
+import copy
 import re
 
 import numpy as np
@@ -35,6 +36,7 @@ from ofbdec import (
     synthesize_ls,
     top_candidates,
 )
+from ofbdec import decoder
 from ofbdec.decoder import _candidate_lists
 
 
@@ -540,6 +542,64 @@ class TestStackedClassical:
             non_finite[bad, 7, 3] = np.nan
             with pytest.raises(ValueError, match="^soft bits must be finite$"):
                 decode_classical(non_finite, p.poly, p.q)
+
+
+class TestHistoryPush:
+    def test_push_keeps_arrays_read_before_and_copies_apart(self, default_pipe):
+        """A push never writes into an array read from the state before,
+        a copy of the state pushes on its own, and the window holds the
+        last pushes in order across a renewal of the backing store."""
+        p = default_pipe
+        N, M = p.poly.N, p.poly.M
+        state = DecoderState.initial(Box.uniform(-4.0, 4.0, N), p.poly, p.parity, streams=2)
+        push = lambda s, v: s._push(*(np.full((2, d), float(v)) for d in (N, N, M, M)))
+        before = state.x_lo
+        push(state, 1)
+        twin = copy.copy(state)
+        push(twin, 2)
+        push(state, 3)
+        assert not before.any()
+        assert (twin.x_lo[:, 0] == 2).all() and (state.x_lo[:, 0] == 3).all()
+        assert (twin.y_hi[:, 0] == 2).all() and (state.y_hi[:, 0] == 3).all()
+        for v in range(4, 4 + 2 * DecoderState._SLOTS):
+            push(state, v)
+        assert state.x_hi[0, :, 0].tolist() == [v - l for l in range(p.poly.L)]
+        assert state.y_lo[1, :, 0].tolist() == [v - l for l in range(p.parity.order)]
+
+
+class TestStepLoop:
+    """A loop of step calls is decode_sequence bit for bit: the one
+    instant path, which lists each instant alone and computes the
+    parity cell terms and the offsets' input-box columns per call,
+    against the stream path, which computes them once per stream."""
+
+    @pytest.mark.parametrize("use_pct", [True, False])
+    def test_matches_decode_sequence(self, default_pipe, monkeypatch, use_pct):
+        p = default_pipe
+        channels, rs = noisy_streams(p, 160 * p.poly.N, (5.0,), seed=9)
+        ch, r = channels[0], rs[0]
+        cfg = DecoderConfig(use_pct=use_pct)
+        boxes = []  # each instant's box before decode_sequence widens it
+        original = decoder._advance
+
+        def spy(*args):
+            out = original(*args)
+            boxes.append((out[1][0].tobytes(), out[2][0].tobytes()))
+            return out
+
+        monkeypatch.setattr(decoder, "_advance", spy)
+        _, diag = decode_sequence(r, p.poly, p.parity, p.q, ch, cfg, p.x_range)
+        monkeypatch.undo()
+        state = DecoderState.initial(Box.uniform(-4.0, 4.0, p.poly.N), p.poly, p.parity)
+        for i in range(r.shape[0]):
+            res = step(r[i], state, p.poly, p.parity, p.q, ch, cfg)
+            assert res.u_hat.tobytes() == diag.u_hat[i].tobytes(), i
+            assert (res.flag, res.rank, res.n_consistent) == (
+                diag.flags[i], diag.ranks[i], diag.n_consistent[i]
+            ), i
+            assert (res.x_box.lo.tobytes(), res.x_box.hi.tobytes()) == boxes[i], i
+        want = {FLAG_CLEAN, FLAG_NO_CONSISTENT} | ({FLAG_PARITY_EXHAUSTED} if use_pct else set())
+        assert set(diag.flags.tolist()) == want
 
 
 class TestLockstep:

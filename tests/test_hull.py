@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import BankPipeline, certificate_hull, noisy_streams, one_stream_state
+from conftest import BankPipeline, centred, certificate_hull, noisy_streams, one_stream_state
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +29,9 @@ from ofbdec import (
 )
 from ofbdec import decoder, filterbank
 from ofbdec.decoder import _consistency_batch, _history_reach
-from ofbdec.interval import HullCertificates, _certificate_box, _circuit_empty, box_hull_lp
+from ofbdec.interval import (
+    HullCertificates, _certificate_box, _circuit_empty, _offset_scale, box_hull_lp,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -229,8 +231,8 @@ def assert_steps_are_the_lp_hull(poly, state, cell_lo, cell_hi):
     candidate, gives the LP hull within 1e-9 and crosses no feasible
     candidate's bounds.  Returns the verdicts."""
     hulls, _, _ = lp_hulls(poly, state, cell_lo, cell_hi)
-    l, u, empty = _consistency_batch(cell_lo, cell_hi, state, poly)
-    lo, hi, crossed = _certificate_box(poly.consistency_certificates(), l, u)
+    c, r, empty, scale = _consistency_batch(cell_lo, cell_hi, state, poly)
+    lo, hi, crossed = _certificate_box(poly.consistency_certificates(), c, r, scale)
     assert_equals_hull(lo[0], hi[0], empty[0], hulls)
     assert not np.any(crossed[~empty])
     return empty[0]
@@ -243,11 +245,11 @@ def test_consistency_is_the_lp_hull(poly, seed):
     assert_steps_are_the_lp_hull(poly, state, cell_lo, cell_hi)
 
 
-def assert_circuits_decide_empty(cert, l, u):
+def assert_circuits_decide_empty(cert, c, r, scale):
     """The verdict step proves EMPTY every row whose box-step bounds
     cross: the circuits alone decide EMPTY."""
-    empty = _circuit_empty(cert, l, u)
-    _, _, crossed = _certificate_box(cert, l, u)
+    empty = _circuit_empty(cert, c, r, scale)
+    _, _, crossed = _certificate_box(cert, c, r, scale)
     assert not np.any(crossed & ~empty)
     return empty
 
@@ -260,12 +262,12 @@ def test_circuits_alone_decide_empty_on_exact_sets(poly, seed):
     cert = poly.consistency_certificates()
     assert cert.exact
     state, cell_lo, cell_hi = instance(poly, seed)
-    l, u, _ = _consistency_batch(cell_lo, cell_hi, state, poly)
+    c, r, _, _ = _consistency_batch(cell_lo, cell_hi, state, poly)
     rng = np.random.default_rng(seed)
-    a, b = (GRID * rng.integers(-6, 7, (1, 16, l.shape[2])) for _ in range(2))
-    l = np.concatenate([l, np.minimum(a, b)], axis=1)
-    u = np.concatenate([u, np.maximum(a, b)], axis=1)
-    assert assert_circuits_decide_empty(cert, l, u).any()
+    a, b = (GRID * rng.integers(-6, 7, (1, 16, c.shape[2])) for _ in range(2))
+    c_rand, r_rand, _ = centred(np.minimum(a, b), np.maximum(a, b))
+    c, r = np.concatenate([c, c_rand], axis=1), np.concatenate([r, r_rand], axis=1)
+    assert assert_circuits_decide_empty(cert, c, r, _offset_scale(c, r)).any()
 
 
 # -- the hull on decoded streams -------------------------------------------
@@ -305,8 +307,8 @@ def test_circuits_alone_decide_empty_on_a_decoded_walsh_stream():
     verdicts = []
     for i in range(r.shape[0]):
         u = np.stack([c.u for c in top_candidates(r[i], p.q, ch, cfg.n_max)])[None]
-        l, h, _ = _consistency_batch(*p.q.cell_bounds(u), state, p.poly)
-        verdicts.extend(assert_circuits_decide_empty(cert, l, h)[0].tolist())
+        c, rad, _, scale = _consistency_batch(*p.q.cell_bounds(u), state, p.poly)
+        verdicts.extend(assert_circuits_decide_empty(cert, c, rad, scale)[0].tolist())
         step(r[i], state, p.poly, p.parity, p.q, ch, cfg)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -336,11 +338,11 @@ def test_a_crossed_pick_is_dropped_and_the_stream_picks_again(default_pipe, monk
     original = decoder._certificate_box
     calls = []
 
-    def cross_first_pick(cert, l, u):
-        lo, hi, crossed = original(cert, l, u)
+    def cross_first_pick(cert, c, r, scale):
+        lo, hi, crossed = original(cert, c, r, scale)
         if not calls:
             crossed = np.ones_like(crossed)
-        calls.append(l.shape)
+        calls.append(c.shape)
         return lo, hi, crossed
 
     monkeypatch.setattr(decoder, "_certificate_box", cross_first_pick)
@@ -378,8 +380,8 @@ def test_a_hull_that_misses_the_signal_is_caught(default_pipe, monkeypatch):
     assert_sent_blocks_contained(default_pipe, 40, seed=21)
     original = decoder._certificate_box
 
-    def lower_corner(cert, l, u):
-        lo, hi, crossed = original(cert, l, u)
+    def lower_corner(cert, c, r, scale):
+        lo, hi, crossed = original(cert, c, r, scale)
         return lo, lo.copy(), crossed
 
     monkeypatch.setattr(decoder, "_certificate_box", lower_corner)

@@ -189,8 +189,12 @@ def test_frontier_lists_equal_the_reference(q, n_max, kind, sig2, seed):
     noisy soft bits, on bits rounded to a coarse grid (many exact score
     ties), on all-zero bits (every index vector ties) and on bits with
     some subbands scaled by 1e9 (sums that round to ties)."""
+    assert_lists_equal_the_reference(q, n_max, kind, sig2, seed, rows=5)
+
+
+def assert_lists_equal_the_reference(q, n_max, kind, sig2, seed, rows):
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(5, q.total_bits))
+    bits = rng.integers(0, 2, size=(rows, q.total_bits))
     r = 1.0 - 2.0 * bits + rng.normal(scale=np.sqrt(sig2), size=bits.shape)
     if kind == "coarse":
         r = np.round(2.0 * r) / 2.0
@@ -204,3 +208,26 @@ def test_frontier_lists_equal_the_reference(q, n_max, kind, sig2, seed):
         want_u, want_s = listed_one_instant(r[i], q, sig2, n_max)
         assert np.array_equal(u[i], want_u)
         assert scores[i].tobytes() == want_s.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rates, gray, kind, n_max",
+    [
+        ([8], False, "noisy", 20),
+        ([9, 2], True, "coarse", 30),
+        ([10, 11], False, "mixed_scale", 25),
+        ([12, 1], True, "zero", 40),
+        ([13], False, "coarse", 64),
+        ([14], True, "noisy", 7),
+        ([15], False, "zero", 16),
+        ([16], True, "mixed_scale", 12),
+        ([16, 3], False, "noisy", 33),
+    ],
+)
+def test_long_codes_list_as_the_reference(rates, gray, kind, n_max):
+    """Rates 8-16, whose scores np.sum adds with eight accumulators:
+    the score tree of the listing stages adds them in that order, for
+    both code maps and every kind of soft bits."""
+    ones = np.ones(len(rates))
+    q = QuantizerBank(ones, rates, Box(-2.0**16 * ones, 2.0**16 * ones), gray=gray)
+    assert_lists_equal_the_reference(q, n_max, kind, 0.4, seed=sum(rates), rows=3)
