@@ -13,16 +13,13 @@ and record the change in CHANGES.md.
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import BankPipeline
 
-sys.path.insert(0, str(Path(__file__).parent))
-from conftest import BankPipeline  # noqa: E402
-
-from ofbdec import (  # noqa: E402
+from ofbdec import (
     ChannelModel,
     DecoderConfig,
     Interval,
