@@ -2,12 +2,15 @@
 consistency testing.
 
 Per instant the decoder (1) lists the most likely index vectors given
-the channel's soft outputs, (2) discards candidates whose quantization
-cells cannot be reached by any admissible input signal given the boxes
-decoded for the previous instants, (3) optionally also requires
-candidates to be compatible with the parity bank, and (4) returns the
-first survivor in likelihood order together with its signal box,
-computed for that survivor alone.
+the channel's soft outputs, ties going to the ascending index vector,
+(2) discards candidates whose quantization cells cannot be reached by
+any admissible input signal given the boxes decoded for the previous
+instants, (3) optionally also requires candidates to be compatible
+with the parity bank, and (4) returns the first survivor in likelihood
+order together with its signal box, computed for that survivor alone.
+A codeword's log-likelihood score is its per-bit squared distances to
+the soft bits added left to right, MSB first, over -2 sigma^2; an
+index vector's is the sum of its subbands' scores in subband order.
 
 The consistency test (2) reads the polytope of admissible current
 input blocks, {x in input box : E_0 x in cells - history reach},
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .filterbank import synthesize_ls
+from .filterbank import _check_integer, synthesize_ls
 from .interval import Box, _certificate_box, _circuit_empty, _offset_scale
 
 __all__ = [
@@ -87,20 +90,15 @@ FLAG_NO_CONSISTENT = 1
 FLAG_PARITY_EXHAUSTED = 2
 
 _PARITY_RTOL = 1e-12
-# elements of the largest array one chunk of candidate listing builds,
-# chunk * (frontier pairs of a stage) merged partial vectors, and of the
-# chunk * 2^R * R bit terms summed into an R-bit subband's code scores;
-# a tie fallback merges at most this many of its full P * S pairs at once
+# elements of the largest array one chunk of candidate listing builds:
+# chunk * (frontier pairs of a stage) merged partial vectors, or the
+# chunk * 2^R code scores of an R-bit subband, which the chunk length
+# budgets R times over (as chunk * 2^R * R); a tie fallback merges at
+# most this many of its full P * S pairs at once
 _LIST_CHUNK_ELEMENTS = 2**15
 # smallest accepted config values; the bank-dependent window floor,
 # 2*(L+1), is checked by synthesize_ls and when a Pipeline is built
 _CONFIG_FLOORS = {"n_max": 1, "window": 2}
-
-
-def _check_integer(name, value):
-    """Reject a config value that is not an integer (or numpy integer)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_count(name, value):
@@ -168,41 +166,29 @@ class DecoderState:
     x_lo, x_hi of shape (B, L, N) and y_lo, y_hi of shape (B, L', M).
     """
 
-    _SLOTS = 64  # pushes one backing store of the histories takes (see _push)
-
     def __init__(self, input_box, x_lo, x_hi, y_lo, y_hi):
         self.input_box = input_box
         self.x_lo, self.x_hi, self.y_lo, self.y_hi = x_lo, x_hi, y_lo, y_hi
-        self._store = None  # [backing arrays, lowest slot written]
-        self._at = 0  # the slot of the histories' most recent entry
 
     @classmethod
     def initial(cls, input_box, poly, parity, streams=1):
         """Histories start as the degenerate all-zero boxes, which is
-        exact for streams whose pre-start blocks are zero."""
+        exact for streams whose pre-start blocks are zero.  Without a
+        parity bank (parity None) the subband history has length 0."""
         if input_box.dim != poly.N:
             raise ValueError(f"input box has dimension {input_box.dim}, the bank's N is {poly.N}")
         x = (streams, poly.L, poly.N)
-        y = (streams, parity.order, poly.M)
+        y = (streams, 0 if parity is None else parity.order, poly.M)
         return cls(input_box, np.zeros(x), np.zeros(x), np.zeros(y), np.zeros(y))
 
     def _push(self, x_lo, x_hi, y_lo, y_hi):
-        """Push (B, N) signal and (B, M) subband box endpoints into the
-        free slot in front of each history's window on a backing array,
-        and move the window onto it: no array read before changes.  A
-        full store, or one a copy of the state pushed into, is renewed."""
+        """Push (B, N) signal and (B, M) subband box endpoints.  Each
+        history is rebound to a new array, so no array read before
+        changes."""
         hist = (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
-        if self._at == 0 or self._store is None or self._store[1] != self._at:
-            free = [np.empty((h.shape[0], self._SLOTS) + h.shape[2:]) for h in hist]
-            self._at = self._SLOTS
-            self._store = [[np.concatenate(b, axis=1) for b in zip(free, hist)], self._at]
-        at = self._store[1] = self._at = self._at - 1
-        bufs = self._store[0]
-        for buf, new, h in zip(bufs, (x_lo, x_hi, y_lo, y_hi), hist):
-            if h.shape[1]:  # a history of length 0 keeps nothing
-                buf[:, at] = new
         self.x_lo, self.x_hi, self.y_lo, self.y_hi = (
-            buf[:, at:at + h.shape[1]] for buf, h in zip(bufs, hist)
+            np.concatenate([new[:, None], h[:, :-1]], axis=1) if h.shape[1] else h
+            for new, h in zip((x_lo, x_hi, y_lo, y_hi), hist)
         )
 
 
@@ -235,9 +221,9 @@ def _candidate_lists(r, q, sig2, n_max):
     being the list length (n_max, or fewer when the bank has fewer
     index vectors).  Instants are listed in chunks whose length comes
     from the widest array a stage builds: its frontier pairs (see
-    _merge_pairs), not all n_max^2 of them, or the bit terms of its
-    code scores; each such array, and each tie fallback's sub-chunk,
-    holds at most _LIST_CHUNK_ELEMENTS elements.
+    _merge_pairs), not all n_max^2 of them, or its 2^R code scores,
+    counted as 2^R * R; each such array, and each tie fallback's
+    sub-chunk, holds at most _LIST_CHUNK_ELEMENTS elements.
     """
     r = _soft_bits(r, q)
     T = r.shape[0]
@@ -283,36 +269,6 @@ def _merge_pairs(P, S, n):
     return pair_p, pair_s, front_p, front_s
 
 
-@functools.lru_cache(maxsize=None)
-def _sum_tree(R):
-    """np.sum's order of additions over a contiguous row of R <= 16
-    terms t_j, as nested pairs of term indexes: left to right below 8;
-    else ((a_0+a_1)+(a_2+a_3))+((a_4+a_5)+(a_6+a_7)), a_j = t_j (plus
-    t_{j+8} when R = 16), then t_8, t_9, ... left to right."""
-    if R < 8:
-        return functools.reduce(lambda a, j: (a, j), range(1, R), 0)
-    acc = [(j, j + 8) if R == 16 else j for j in range(8)]
-    tree = (((acc[0], acc[1]), (acc[2], acc[3])), ((acc[4], acc[5]), (acc[6], acc[7])))
-    return functools.reduce(lambda a, j: (a, j), range(16 if R == 16 else 8, R), tree)
-
-
-@functools.lru_cache(maxsize=64)
-def _code_positions(q, m):
-    """Where each codeword of subband m, in index order, sits in the
-    table of _tree_sums, found by summing the bits' place values."""
-    w = 1 << np.arange(int(q.rates[m]) - 1, -1, -1)
-    slots = _tree_sums(np.stack([0 * w, w], axis=1)[None], _sum_tree(w.size))[0]
-    return np.argsort(slots)[q.index_codes(m) @ w]
-
-
-def _tree_sums(dist, tree):
-    """Sums of one dist term per bit along tree, for every code: outer sums."""
-    if isinstance(tree, int):
-        return dist[:, tree]
-    a, b = (_tree_sums(dist, t) for t in tree)
-    return (a[:, :, None] + b[:, None, :]).reshape(a.shape[0], -1)
-
-
 def _list_chunk(r, q, sig2, n_max):
     """Breadth-first listing over subbands for a chunk of instants.
 
@@ -326,10 +282,11 @@ def _list_chunk(r, q, sig2, n_max):
     vectors; the partials are kept as per-stage back-pointers and traced
     back once.
 
-    A stage sums its 2^R code scores from a (rows, R, 2) table of
-    per-bit squared distances along the tree of np.sum's additions
-    (_sum_tree, _tree_sums): bit for bit np.sum over each codeword's
-    distances, at O(2^R) cost.
+    A codeword's score is its per-bit squared distances added left to
+    right, MSB first, negated and divided by 2 sig2.  A stage builds
+    all 2^R sums at O(2^R) cost, one outer sum per bit over a (rows, R,
+    2) table of per-bit distances, in code-value order, so a codeword's
+    column is its value.
 
     A stage ranks only the dominance frontier of its P x S pairs (see
     _merge_pairs): 280 of 4096 pairs at n_max 64.  A pair beyond it
@@ -348,8 +305,12 @@ def _list_chunk(r, q, sig2, n_max):
     parents, picks = [], []
     for m in range(q.M):
         dist = (r[:, q.bit_slices[m], None] - np.array([1.0, -1.0])) ** 2  # bit 0 sends +1
-        sums = _tree_sums(dist, _sum_tree(dist.shape[1]))[:, _code_positions(q, m)]
-        scores = -sums / (2.0 * sig2)
+        sums = dist[:, 0]
+        for j in range(1, dist.shape[1]):
+            sums = (sums[:, :, None] + dist[:, None, j]).reshape(C, -1)
+        codes = q.index_codes(m)
+        place = 1 << np.arange(codes.shape[1] - 1, -1, -1)  # of each bit, MSB first
+        scores = -sums[:, codes @ place] / (2.0 * sig2)
         # ties keep index order, which is ascending u
         stage = np.argsort(-scores, axis=1, kind="stable")[:, :n_max]
         stage_scores = scores[at, stage]
@@ -429,18 +390,24 @@ def top_candidates(r, q, ch, n_max):
     ]
 
 
+def _fir_reach(taps, lo, hi):
+    """Centre and radius of the interval sum over l >= 1 of taps[l]
+    applied to the history boxes [lo[:, l-1], hi[:, l-1]] of every
+    stream: two (B, rows) arrays."""
+    c = np.zeros((lo.shape[0], taps.shape[1]))
+    rad = np.zeros_like(c)
+    for l in range(1, taps.shape[0]):
+        c = c + _matvec(taps[l], 0.5 * (lo[:, l - 1] + hi[:, l - 1]))
+        rad = rad + _matvec(np.abs(taps[l]), 0.5 * (hi[:, l - 1] - lo[:, l - 1]))
+    return c, rad
+
+
 def _history_reach(state, poly):
     """Interval sum of E_l applied to each stream's previous signal
     boxes, i.e. the subband contribution already fixed by the decoding
     history: (lo, hi), each of shape (B, M)."""
-    B = state.x_lo.shape[0]
-    c = np.zeros((B, poly.M))
-    rdy = np.zeros((B, poly.M))
-    for l in range(1, poly.L + 1):
-        lo, hi = state.x_lo[:, l - 1], state.x_hi[:, l - 1]
-        c = c + _matvec(poly.E[l], 0.5 * (lo + hi))
-        rdy = rdy + _matvec(np.abs(poly.E[l]), 0.5 * (hi - lo))
-    return c - rdy, c + rdy
+    c, rad = _fir_reach(poly.E, state.x_lo, state.x_hi)
+    return c - rad, c + rad
 
 
 def _offset_buffers(input_box, B, K, M):
@@ -515,13 +482,7 @@ def _parity_residual_bounds(cc, cr, y_lo, y_hi, parity):
     cc, cr: (B, K, rows) cell terms (_parity_cell_terms); y_lo, y_hi:
     (B, L', M) subband histories.  Returns two (B, K, rows) arrays.
     """
-    B = cc.shape[0]
-    hc = np.zeros((B, parity.rows))
-    hr = np.zeros((B, parity.rows))
-    for l in range(1, parity.order + 1):
-        lo, hi = y_lo[:, l - 1], y_hi[:, l - 1]
-        hc = hc + _matvec(parity.P[l], 0.5 * (lo + hi))
-        hr = hr + _matvec(np.abs(parity.P[l]), 0.5 * (hi - lo))
+    hc, hr = _fir_reach(parity.P, y_lo, y_hi)
     mid = cc + hc[:, None]
     rad = cr + hr[:, None]
     return mid - rad, mid + rad

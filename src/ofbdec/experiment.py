@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .decoder import _CONFIG_FLOORS, DecoderConfig, _check_bool, _check_integer
+from .decoder import _CONFIG_FLOORS, DecoderConfig, _check_bool
 from .decoder import decode_classical, decode_sequence, decode_streams
 from .filterbank import (
     _bank_source,
+    _check_integer,
     _parse_bank_text,
     analyze,
     parity_from_polyphase,

@@ -47,6 +47,12 @@ HULL_SUBSET_CAP = 1024
 _DEFAULT_BANK_RESOURCE = "haar_6x4.txt"
 
 
+def _check_integer(name, value):
+    """Reject a config value that is not an integer (or numpy integer)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class FilterBank:
     """An M-filter analysis bank with downsampling factor N and order L.
 
@@ -302,7 +308,7 @@ def synthesize_ls(poly, y, window=8):
     poly : Polyphase
     y : (..., T, M) array of subband blocks: one stream, or a stack of
         streams of equal length along the leading axes
-    window : number of block equations per solve, at least 2*(L+1)
+    window : number of block equations per solve, an integer >= 2*(L+1)
 
     Returns the reconstructed signals as an array of shape (..., T*N).
     Each window product is a stacked matmul, one product of the
@@ -313,6 +319,7 @@ def synthesize_ls(poly, y, window=8):
     if y.ndim < 2 or y.shape[-1] != poly.M:
         raise ValueError("subband array must have shape (..., T, M)")
     M, N, L = poly.M, poly.N, poly.L
+    _check_integer("window", window)
     if window < 2 * (L + 1):
         raise ValueError(f"window must be at least {2 * (L + 1)}")
     sigma = poly.min_frame_singular_value(max(window, 4 * (L + 1)))

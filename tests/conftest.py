@@ -60,14 +60,25 @@ def tiny_pipe():
     return pipe
 
 
+def code_scores(rm, codes, sig2):
+    """The decoder's score of every codeword (row of codes) for the soft
+    bits rm: its per-bit squared distances added left to right, MSB
+    first, one bit per addition, negated and divided by 2 sig2 once."""
+    dist = (rm[None, :] - (1.0 - 2.0 * codes.astype(float))) ** 2
+    sums = dist[:, 0]
+    for j in range(1, dist.shape[1]):
+        sums = sums + dist[:, j]
+    return -sums / (2.0 * sig2)
+
+
 def exhaustive_candidates(r, q, ch):
     """All index vectors ranked exactly like the decoder ranks them:
     decreasing total log-likelihood, ties by ascending index vector.
 
     The oracle's point is the full enumeration (no pruning); per-subband
-    scores deliberately use the decoder's arithmetic (sum the squared
-    symbol distances, divide once) so the two rankings can be compared
-    for exact equality instead of up to float rounding.
+    scores deliberately use the decoder's arithmetic (code_scores) so
+    the two rankings can be compared for exact equality instead of up
+    to float rounding.
     """
     r = np.asarray(r, dtype=float)
     sig2 = ch.effective_sigma2()
@@ -76,9 +87,7 @@ def exhaustive_candidates(r, q, ch):
     u_all = np.stack([g.ravel() for g in mesh], axis=1)
     scores = np.zeros(u_all.shape[0])
     for m in range(q.M):
-        symbols = 1.0 - 2.0 * q.index_codes(m).astype(float)
-        rm = r[q.bit_slices[m]]
-        per_index = -np.sum((rm[None, :] - symbols) ** 2, axis=1) / (2.0 * sig2)
+        per_index = code_scores(r[q.bit_slices[m]], q.index_codes(m), sig2)
         scores = scores + per_index[u_all[:, m] + q.offsets[m]]
     keys = [u_all[:, k] for k in range(u_all.shape[1] - 1, -1, -1)]
     keys.append(-scores)
@@ -145,17 +154,15 @@ def sample_feasible_indexes(state, pipe, rng, n_samples=100_000):
 
 def listed_one_instant(r, q, sig2, n_max):
     """Per-instant breadth-first listing as the decoder first did it:
-    one lexsort over whole partial index vectors per subband stage.
+    one lexsort over whole partial index vectors per subband stage,
+    each stage scoring its codewords in index order with code_scores.
     The reference for the batched listing; returns ((K, M) index
     vectors, (K,) scores)."""
     part_u = np.zeros((1, 0), dtype=np.int64)
     part_scores = np.zeros(1)
     for m in range(q.M):
-        codes = q.index_codes(m)
-        symbols = 1.0 - 2.0 * codes.astype(float)
-        rm = r[q.bit_slices[m]]
-        scores = -np.sum((rm[None, :] - symbols) ** 2, axis=1) / (2.0 * sig2)
-        u_vals = np.arange(codes.shape[0], dtype=np.int64) - q.offsets[m]
+        scores = code_scores(r[q.bit_slices[m]], q.index_codes(m), sig2)
+        u_vals = np.arange(scores.size, dtype=np.int64) - q.offsets[m]
         order = np.lexsort((u_vals, -scores))[:n_max]
         stage_u = u_vals[order]
         stage_scores = scores[order]

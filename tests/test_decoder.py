@@ -439,6 +439,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="^window must be at least 2$"):
             DecoderConfig(window=1)
 
+    @pytest.mark.parametrize("window", [8.5, 8.0, True])
+    def test_synthesis_window_must_be_an_integer(self, default_pipe, window):
+        p = default_pipe
+        message = re.escape(f"window must be an integer, got {window!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synthesize_ls(p.poly, np.zeros((20, p.poly.M)), window=window)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decode_classical(np.ones((20, p.q.total_bits)), p.poly, p.q, window=window)
+
     def test_numpy_bool_accepted(self):
         assert not DecoderConfig(use_pct=np.bool_(False)).use_pct
 
@@ -547,8 +556,8 @@ class TestStackedClassical:
 class TestHistoryPush:
     def test_push_keeps_arrays_read_before_and_copies_apart(self, default_pipe):
         """A push never writes into an array read from the state before,
-        a copy of the state pushes on its own, and the window holds the
-        last pushes in order across a renewal of the backing store."""
+        a copy of the state pushes on its own, and after many pushes the
+        histories hold the last ones in order."""
         p = default_pipe
         N, M = p.poly.N, p.poly.M
         state = DecoderState.initial(Box.uniform(-4.0, 4.0, N), p.poly, p.parity, streams=2)
@@ -561,7 +570,7 @@ class TestHistoryPush:
         assert not before.any()
         assert (twin.x_lo[:, 0] == 2).all() and (state.x_lo[:, 0] == 3).all()
         assert (twin.y_hi[:, 0] == 2).all() and (state.y_hi[:, 0] == 3).all()
-        for v in range(4, 4 + 2 * DecoderState._SLOTS):
+        for v in range(4, 4 + 130):
             push(state, v)
         assert state.x_hi[0, :, 0].tolist() == [v - l for l in range(p.poly.L)]
         assert state.y_lo[1, :, 0].tolist() == [v - l for l in range(p.parity.order)]
@@ -600,6 +609,25 @@ class TestStepLoop:
             assert (res.x_box.lo.tobytes(), res.x_box.hi.tobytes()) == boxes[i], i
         want = {FLAG_CLEAN, FLAG_NO_CONSISTENT} | ({FLAG_PARITY_EXHAUSTED} if use_pct else set())
         assert set(diag.flags.tolist()) == want
+
+    def test_without_a_parity_bank(self, default_pipe):
+        """A step loop with use_pct off from the state initial builds
+        without a parity bank, whose subband history has length 0,
+        decodes bit for bit like one from the bank's parity state."""
+        p = default_pipe
+        channels, rs = noisy_streams(p, 60 * p.poly.N, (5.0,), seed=4)
+        cfg = DecoderConfig(use_pct=False)
+        box = Box.uniform(-4.0, 4.0, p.poly.N)
+        with_parity = DecoderState.initial(box, p.poly, p.parity)
+        without = DecoderState.initial(box, p.poly, None)
+        for i, r in enumerate(rs[0]):
+            want = step(r, with_parity, p.poly, p.parity, p.q, channels[0], cfg)
+            got = step(r, without, p.poly, None, p.q, channels[0], cfg)
+            assert got.u_hat.tobytes() == want.u_hat.tobytes(), i
+            assert (got.flag, got.rank) == (want.flag, want.rank), i
+            for a, b in ((got.x_box, want.x_box), (got.y_box, want.y_box)):
+                assert (a.lo.tobytes(), a.hi.tobytes()) == (b.lo.tobytes(), b.hi.tobytes()), i
+        assert without.y_lo.shape == (1, 0, p.poly.M)
 
 
 class TestLockstep:

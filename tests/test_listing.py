@@ -225,9 +225,34 @@ def assert_lists_equal_the_reference(q, n_max, kind, sig2, seed, rows):
     ],
 )
 def test_long_codes_list_as_the_reference(rates, gray, kind, n_max):
-    """Rates 8-16, whose scores np.sum adds with eight accumulators:
-    the score tree of the listing stages adds them in that order, for
-    both code maps and every kind of soft bits."""
+    """Rates 8-16, the long codes whose 2^R scores a stage builds by R
+    outer sums: listed as the reference lists them, which adds each
+    codeword's bit terms one by one, for both code maps and every kind
+    of soft bits."""
     ones = np.ones(len(rates))
     q = QuantizerBank(ones, rates, Box(-2.0**16 * ones, 2.0**16 * ones), gray=gray)
     assert_lists_equal_the_reference(q, n_max, kind, 0.4, seed=sum(rates), rows=3)
+
+
+@pytest.mark.parametrize("gray", [False, True])
+@pytest.mark.parametrize("R", [8, 12, 16])
+def test_scores_add_bit_terms_msb_first(R, gray):
+    """The score definition, checked without numpy's arithmetic: each
+    listed codeword's squared bit distances added in a Python float
+    loop, MSB first, and divided by 2 sig2 once, give the listed score's
+    bytes."""
+    sig2 = 0.4
+    q = QuantizerBank(np.ones(1), [R], Box(-2.0**16 * np.ones(1), 2.0**16 * np.ones(1)),
+                      gray=gray)
+    rng = np.random.default_rng(R)
+    r = rng.normal(scale=1.5, size=(3, R))
+    u, scores = _candidate_lists(r, q, sig2, 6)
+    for i in range(r.shape[0]):
+        for k in range(u.shape[1]):
+            v = int(u[i, k, 0]) + (1 << R) // 2
+            code = v ^ (v >> 1) if gray else v
+            total = 0.0
+            for j in range(R):
+                bit = (code >> (R - 1 - j)) & 1
+                total += (float(r[i, j]) - (1.0 - 2.0 * bit)) ** 2
+            assert np.float64(-total / (2.0 * sig2)).tobytes() == scores[i, k].tobytes()
