@@ -277,10 +277,13 @@ def _list_chunk(r, q, sig2, n_max):
     vector, and only the n_max best partials survive each stage.
     Because scores add across subbands and ties break on prefixes
     first, the surviving list equals the top of the exhaustive ranking.
-    The lexicographic order of a new partial is that of (its parent's
-    lexicographic rank, its new index), so no sort looks at whole
-    vectors; the partials are kept as per-stage back-pointers and traced
-    back once.
+    The partials are kept as per-stage back-pointers (parents, picks)
+    and traced back at the end.  Each stage sorts every row by score
+    alone (see _best_first); only a row where two of its n_max + 1 best
+    scores tie needs the tie-break, and only such rows have their
+    partials traced back early to rank them lexicographically, the
+    order of a new partial being that of (its parent's rank, its new
+    index).
 
     A codeword's score is its per-bit squared distances added left to
     right, MSB first, negated and divided by 2 sig2.  A stage builds
@@ -301,7 +304,6 @@ def _list_chunk(r, q, sig2, n_max):
     C = r.shape[0]
     at = np.arange(C)[:, None]  # the row of every per-row gather
     part_scores = np.zeros((C, 1))
-    part_rank = np.zeros((C, 1), dtype=np.int64)  # lexicographic rank
     parents, picks = [], []
     for m in range(q.M):
         dist = (r[:, q.bit_slices[m], None] - np.array([1.0, -1.0])) ** 2  # bit 0 sends +1
@@ -311,16 +313,27 @@ def _list_chunk(r, q, sig2, n_max):
         codes = q.index_codes(m)
         place = 1 << np.arange(codes.shape[1] - 1, -1, -1)  # of each bit, MSB first
         scores = -sums[:, codes @ place] / (2.0 * sig2)
+        stage, ties = _sorted_head(-scores, n_max)
         # ties keep index order, which is ascending u
-        stage = np.argsort(-scores, axis=1, kind="stable")[:, :n_max]
+        stage[ties] = np.argsort(-scores[ties], axis=1, kind="stable")[:, :n_max]
         stage_scores = scores[at, stage]
 
         P, S = part_scores.shape[1], stage.shape[1]
         n_codes = scores.shape[1]
+
+        def lex(rows):
+            """Distinct keys, in lexicographic order, of the given rows'
+            P * S pairs: (rank of the partial among its row's, stage
+            column)."""
+            rank = np.zeros((rows.size, 1), dtype=np.int64)
+            if m:
+                u = _traced(parents, picks, rows[:, None])
+                rank = np.lexsort(np.moveaxis(u, -1, 0)[::-1]).argsort(axis=1)
+            return (rank[:, :, None] * n_codes + stage[rows, None, :]).reshape(rows.size, -1)
+
         pair_p, pair_s, front_p, front_s = _merge_pairs(P, S, n_max)
         new_scores = part_scores[:, pair_p] + stage_scores[:, pair_s]
-        lex = part_rank[:, pair_p] * n_codes + stage[:, pair_s]
-        order = _best_first(-new_scores, lex, n_max)
+        order = _best_first(-new_scores, lambda rows: lex(rows)[:, pair_p * S + pair_s], n_max)
         parent, col = pair_p[order], pair_s[order]
         if front_p.size:
             beyond = np.max(part_scores[:, front_p] + stage_scores[:, front_s], axis=1)
@@ -330,45 +343,50 @@ def _list_chunk(r, q, sig2, n_max):
             for i in range(0, tied.size, sub):
                 rows = tied[i:i + sub]
                 full_scores = part_scores[rows, :, None] + stage_scores[rows, None, :]
-                full_lex = part_rank[rows, :, None] * n_codes + stage[rows, None, :]
-                shape = (rows.size, P * S)
-                full = _best_first(-full_scores.reshape(shape), full_lex.reshape(shape), n_max)
+                full = _best_first(-full_scores.reshape(rows.size, P * S),
+                                   lambda sub_rows: lex(rows[sub_rows]), n_max)
                 parent[rows], col[rows] = full // S, full % S
-        picked = stage[at, col]
         parents.append(parent)
-        picks.append(picked - q.offsets[m])
+        picks.append(stage[at, col] - q.offsets[m])
         part_scores = part_scores[at, parent] + stage_scores[at, col]
-        kept = part_rank[at, parent] * n_codes + picked
-        by_lex = kept.argsort(axis=1)
-        part_rank = np.empty_like(by_lex)
-        part_rank[at, by_lex] = np.arange(by_lex.shape[1])
-    u = np.empty(part_scores.shape + (q.M,), dtype=np.int64)
-    k = np.broadcast_to(np.arange(u.shape[1]), part_scores.shape)
-    for m in range(q.M - 1, -1, -1):
+    return _traced(parents, picks, at), part_scores
+
+
+def _traced(parents, picks, at):
+    """The partial index vectors of the rows at ((rows, 1) indexes) in
+    the order the last stage kept them, traced back through the
+    per-stage back-pointers: (rows, K, stages)."""
+    k = np.arange(picks[-1].shape[1])
+    u = np.empty((at.shape[0], k.size, len(picks)), dtype=np.int64)
+    for m in range(len(picks) - 1, -1, -1):
         u[:, :, m] = picks[m][at, k]
         k = parents[m][at, k]
-    return u, part_scores
+    return u
+
+
+def _sorted_head(neg, n):
+    """The column indexes of the n smallest entries of each row of neg,
+    ascending, from one plain argsort per row, and the indexes of the
+    rows whose order a tie-break can change: those where two of the
+    n + 1 smallest entries are equal."""
+    cols = neg.argsort(axis=1)
+    head = np.take_along_axis(neg, cols[:, :n + 1], axis=1)
+    return cols[:, :n], (head[:, 1:] == head[:, :-1]).any(axis=1).nonzero()[0]
 
 
 def _best_first(neg, lex, n):
     """Column indexes of the n smallest entries of each row of neg,
-    ordered by (neg, lex), the lex entries of a row being distinct.
+    ordered by (neg, lex); lex(rows) gives the (rows.size, width) lex
+    entries of the given rows, distinct within a row.
 
-    A partition finds each row's n smallest entries, which are sorted
-    by neg alone: that is the (neg, lex) order unless two of them are
-    equal or the n-th equals an entry left out.  Only rows with such a
-    tie are sorted whole by (neg, lex).
+    A plain argsort orders each row by neg alone, which is the (neg,
+    lex) order unless two of its n + 1 smallest entries are equal (see
+    _sorted_head).  Only rows with such a tie are sorted by (neg, lex),
+    and lex is called for those rows alone.
     """
-    rows, width = neg.shape
-    n = min(n, width)
-    at = np.arange(rows)[:, None]
-    part = np.argpartition(neg, (n - 1, n) if n < width else n - 1, axis=1)
-    cols = part[at, neg[at, part[:, :n]].argsort(axis=1)]
-    vals = neg[at, cols]
-    tied = (vals[:, 1:] == vals[:, :-1]).any(axis=1)
-    if n < width:
-        tied |= neg[at[:, 0], part[:, n]] == vals[:, -1]
-    cols[tied] = np.lexsort((lex[tied], neg[tied]), axis=1)[:, :n]
+    cols, tied = _sorted_head(neg, n)
+    if tied.size:
+        cols[tied] = np.lexsort((lex(tied), neg[tied]), axis=1)[:, :cols.shape[1]]
     return cols
 
 
@@ -526,15 +544,17 @@ def _advance(state, u, cell_lo, cell_hi, use_pct, poly, parity, q, cell_terms=No
 
     u holds each stream's (B, K, M) candidates in likelihood order,
     cell_lo, cell_hi their cells and cell_terms their parity cell terms
-    (_parity_cell_terms), read where the (B,) mask use_pct is set;
-    offsets are _offset_buffers to reuse.  The consistency verdicts
-    prune first; on streams with use_pct the parity test then picks the
-    first survivor it accepts (falling back to the first survivor with
-    an error flag when it accepts none).  The box step then bounds each
-    stream's pick alone, from its rows of the verdict step's c, r and
-    scale, in (B, 1, N + M) products whose rows round as they do for one
-    stream; a pick whose bounds cross is EMPTY too, and its stream picks
-    again.  When consistency rejects everything, the flagged
+    (_parity_cell_terms), given when any stream has the (B,) mask
+    use_pct set; offsets are _offset_buffers to reuse.  The consistency
+    verdicts prune first; on streams with use_pct the parity test then
+    picks the first survivor it accepts (falling back to the first
+    survivor with an error flag when it accepts none); it runs on every
+    candidate of every stream in one pass, its verdicts masked by
+    use_pct and the consistency verdicts.  The box step then bounds
+    each stream's pick alone, from its rows of the verdict step's c, r
+    and scale, in (B, 1, N + M) products whose rows round as they do
+    for one stream; a pick whose bounds cross is EMPTY too, and its
+    stream picks again.  When consistency rejects everything, the flagged
     hard-decision fallback is returned.
 
     Returns (u_hat, x_lo, x_hi, y_lo, y_hi, flag, pick, n_consistent),
@@ -545,15 +565,10 @@ def _advance(state, u, cell_lo, cell_hi, use_pct, poly, parity, q, cell_terms=No
     c, r, empty, scale = _consistency_batch(cell_lo, cell_hi, state, poly, offsets)
     cert = poly.consistency_certificates()
     live = ~empty
-    par = (use_pct & live.any(axis=1)).nonzero()[0]
-    ok = np.zeros_like(live)  # live candidates the parity test accepts
-    if par.size:
-        plo, phi = _parity_residual_bounds(
-            cell_terms[0][par], cell_terms[1][par], state.y_lo[par], state.y_hi[par], parity
-        )
-        tested = np.zeros_like(live)
-        tested[par] = live[par]
-        ok[tested] = _parity_pass(plo[tested[par]], phi[tested[par]])
+    ok = np.zeros_like(live)  # candidates the parity test accepts, on streams with use_pct
+    if cell_terms is not None:
+        plo, phi = _parity_residual_bounds(*cell_terms, state.y_lo, state.y_hi, parity)
+        ok = _parity_pass(plo, phi) & use_pct[:, None]
     while True:
         n_consistent = live.sum(axis=1)
         ok &= live
@@ -585,6 +600,8 @@ def step(r_inst, state, poly, parity, q, ch, cfg):
     """Decode one instant of a single-stream state and push its boxes
     onto the history; the B = 1 case of the lockstep recursion (see
     _advance) over the list top_candidates gives."""
+    if parity is None and cfg.use_pct:
+        raise ValueError("use_pct needs a parity bank, got parity None")
     u = np.stack([c.u for c in top_candidates(r_inst, q, ch, cfg.n_max)])[None]
     cell_lo, cell_hi = q.cell_bounds(u)
     u_hat, x_lo, x_hi, y_lo, y_hi, flag, pick, n_consistent = _advance(
@@ -656,6 +673,8 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
         raise ValueError("lockstep decoders must share n_max")
     if len(rs) != len(channels):
         raise ValueError("expected one channel per stream")
+    if parity is None and any(c.use_pct for c in cfgs):
+        raise ValueError("use_pct needs a parity bank, got parity None")
     rs = [_soft_bits(r, q) for r in rs]
     S, T, V = len(rs), rs[0].shape[0], len(cfgs)
     if any(r.shape[0] != T for r in rs):

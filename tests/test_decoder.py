@@ -701,3 +701,25 @@ class TestLockstep:
         with pytest.raises(ValueError, match="n_max"):
             decode_streams(rs, p.poly, p.parity, p.q, channels,
                            [DecoderConfig(n_max=4), DecoderConfig(n_max=5)], p.x_range)
+
+
+@pytest.mark.parametrize("entry", ["step", "decode_sequence", "decode_streams"])
+def test_parity_test_needs_a_parity_bank(tiny_pipe, entry):
+    """use_pct with parity None is rejected at each entry point; with
+    use_pct off the same call decodes as it does beside a parity bank."""
+    p = tiny_pipe
+    channels, (r,) = noisy_streams(p, 40, (5.0,), seed=2)
+    ch = channels[0]
+
+    def decode(parity, cfg):
+        if entry == "step":
+            state = DecoderState.initial(Box.uniform(-1.0, 1.0, p.poly.N), p.poly, parity)
+            return step(r[0], state, p.poly, parity, p.q, ch, cfg).u_hat
+        if entry == "decode_sequence":
+            return decode_sequence(r, p.poly, parity, p.q, ch, cfg, p.x_range)[0]
+        return decode_streams([r], p.poly, parity, p.q, [ch], [cfg], p.x_range)[0][0][0]
+
+    with pytest.raises(ValueError, match="^use_pct needs a parity bank, got parity None$"):
+        decode(None, DecoderConfig(use_pct=True))
+    off = DecoderConfig(use_pct=False)
+    assert decode(None, off).tobytes() == decode(p.parity, off).tobytes()

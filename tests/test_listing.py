@@ -1,16 +1,16 @@
 """The frontier merge of candidate listing: the pairs it scores, its
-tie fallback, its memory bound, and its lists against the per-instant
-reference over random quantizer banks."""
+tie fallback, its memory bound, the rows it breaks ties in, and its
+lists against the per-instant reference over random quantizer banks."""
 
 import numpy as np
 import pytest
-from conftest import listed_one_instant
+from conftest import code_scores, listed_one_instant
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ofbdec import Box, ChannelModel, Interval, QuantizerBank, allocate_rates, subband_ranges
 from ofbdec import decoder
-from ofbdec.decoder import _LIST_CHUNK_ELEMENTS, _candidate_lists, _merge_pairs
+from ofbdec.decoder import _LIST_CHUNK_ELEMENTS, _best_first, _candidate_lists, _merge_pairs
 
 
 def image_quantizers(pipe):
@@ -109,6 +109,105 @@ class TestFrontierPaths:
         _candidate_lists(r, q, ChannelModel(7.0).effective_sigma2(), 64)
         assert max(rows * width for rows, width in calls) <= _LIST_CHUNK_ELEMENTS
         assert sum(rows for rows, width in calls if width == 64 * 64) == 2000 * (q.M - 1)
+
+
+class TestWhereTiesFall:
+    """Each stage sorts by score alone and breaks ties only in rows
+    where two of its n_max + 1 best scores tie; such rows sit in the
+    same chunk as rows without ties."""
+
+    @pytest.mark.parametrize("gray", [False, True])
+    @pytest.mark.parametrize("n_max", [1, 20, 64])
+    def test_ties_in_one_subband(self, default_pipe, monkeypatch, n_max, gray):
+        """Rows whose soft bits are zero, or the noiseless +-1, in the
+        first, a middle or the last subband tie in that stage alone,
+        beside noisy rows: a plain argsort keeps the equal scores of
+        zero bits in index order but not those of noiseless bits."""
+        q = allocate_rates(subband_ranges(default_pipe.poly, Interval(0.0, 255.0)), 8.0,
+                           gray=gray)
+        ch = ChannelModel(7.0, seed=9)
+        bits = ch.stream(0).integers(0, 2, size=(8, q.total_bits))
+        noisy = ch.transmit(bits, ch.stream(1))
+        tied = []
+        for m in (0, q.M // 2, q.M - 1):
+            for soft in (0.0, 1.0 - 2.0 * bits[:4, q.bit_slices[m]]):
+                rows = noisy[:4].copy()
+                rows[:, q.bit_slices[m]] = soft
+                tied.append(rows)
+        r = np.concatenate([noisy, *tied])
+        lexed = []
+        original = decoder._best_first
+
+        def spy(neg, lex, n):
+            def recorded(rows):
+                lexed.append(rows.size)
+                return lex(rows)
+
+            return original(neg, recorded, n)
+
+        monkeypatch.setattr(decoder, "_best_first", spy)
+        sig2 = ch.effective_sigma2()
+        u, scores = _candidate_lists(r, q, sig2, n_max)
+        for i in range(r.shape[0]):
+            want_u, want_s = listed_one_instant(r[i], q, sig2, n_max)
+            assert np.array_equal(u[i], want_u), i
+            assert scores[i].tobytes() == want_s.tobytes(), i
+        if n_max > 1:
+            assert sum(lexed) > 0
+
+    @pytest.mark.parametrize("gray", [False, True])
+    @pytest.mark.parametrize("rates, r0, n_max", [
+        ([3, 2], [0.5, 0.25, 0.25], 2),
+        ([7], [1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0], 20),
+    ])
+    def test_nth_and_next_stage_scores_tie(self, gray, rates, r0, n_max):
+        """Subband 0's sorted scores tie at places n_max and n_max + 1:
+        soft bits (0.5, 0.25, 0.25) tie there and nowhere above, and
+        the noiseless bits of a 7-bit codeword tie in groups of equal
+        Hamming distance (1, 7, 21, ...), whose third the cut splits.
+        The stage keeps the lower indexes of the tied scores."""
+        ones = np.ones(len(rates))
+        q = QuantizerBank(ones, rates, Box(-64.0 * ones, 64.0 * ones), gray=gray)
+        noise = np.random.default_rng(3).normal(size=(2, q.total_bits - len(r0)))
+        r = np.concatenate([np.tile(r0, (2, 1)), noise], axis=1)
+        stage = np.sort(code_scores(np.array(r0), q.index_codes(0), 0.4))[::-1]
+        assert stage[n_max - 1] == stage[n_max]
+        u, scores = _candidate_lists(r, q, 0.4, n_max)
+        for i in range(r.shape[0]):
+            want_u, want_s = listed_one_instant(r[i], q, 0.4, n_max)
+            assert np.array_equal(u[i], want_u)
+            assert scores[i].tobytes() == want_s.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_best_first_equals_a_full_lexsort(n):
+    """Rows of distinct values, some with one tie placed inside the n
+    smallest, at places n and n + 1, or beyond them: the (neg, lex)
+    order of a full np.lexsort, with lex asked only for the rows whose
+    tie falls among the n + 1 smallest."""
+    rng = np.random.default_rng(n)
+    rows, width = 30, 40
+    neg = np.stack([rng.permutation(width) for _ in range(rows)]) * 0.5 - 7.0
+    lex = np.stack([rng.permutation(width) for _ in range(rows)])
+    places = {"inside": (n - 2, n - 1), "boundary": (n - 1, n), "beyond": (n + 1, n + 2)}
+    tied = []
+    for row, where in zip(range(0, rows, 2), 5 * list(places)):
+        a, b = places[where]
+        if a < 0:
+            continue
+        by_value = np.argsort(neg[row])
+        neg[row, by_value[b]] = neg[row, by_value[a]]
+        if where != "beyond":
+            tied.append(row)
+    asked = []
+
+    def lex_of(rows):
+        asked.extend(rows.tolist())
+        return lex[rows]
+
+    cols = _best_first(neg, lex_of, n)
+    assert np.array_equal(cols, np.lexsort((lex, neg), axis=1)[:, :n])
+    assert asked == tied
 
 
 class TestStreamsInOnePass:
