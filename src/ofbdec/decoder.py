@@ -35,11 +35,13 @@ candidate lists of all streams, in one listing pass shared by every
 decoder variant reading the same soft bits; the parity test's P_0
 terms of their cells; the input-box columns of the consistency offsets,
 whose cell columns each instant rewrites.  The box step reuses the
-verdict step's offsets of the picks, and each variant's streams are
-synthesized in one stacked call.  A single stream (decode_sequence,
-step) is the case B = 1.  Every matrix product keeps the shape it has
-for one stream, so a stream decodes bit for bit the same whatever else
-runs beside it.
+verdict step's offsets of the picks, and all streams of one synthesis
+window are synthesized in one stacked call.  A single stream
+(decode_sequence, step) is the case B = 1.  The box step multiplies
+C-contiguous copies of the picks' rows in their one-stream shape.  The
+verdict step reads feature-major views, so its reductions run plane by
+plane, and only its booleans leave it.  So a stream decodes bit for
+bit the same whatever else runs beside it.
 
 The point estimate for the whole stream is assembled afterwards: the
 decoded index vectors are dequantized and passed through the same
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .filterbank import _check_integer, synthesize_ls
+from .filterbank import _check_integer, _read_only, synthesize_ls
 from .interval import Box, _certificate_box, _circuit_empty, _offset_scale
 
 __all__ = [
@@ -92,8 +94,7 @@ FLAG_PARITY_EXHAUSTED = 2
 _PARITY_RTOL = 1e-12
 # elements of the largest array one chunk of candidate listing builds:
 # chunk * (frontier pairs of a stage) merged partial vectors, or the
-# chunk * 2^R code scores of an R-bit subband, which the chunk length
-# budgets R times over (as chunk * 2^R * R); a tie fallback merges at
+# chunk * 2^R code scores of an R-bit subband; a tie fallback merges at
 # most this many of its full P * S pairs at once
 _LIST_CHUNK_ELEMENTS = 2**15
 # smallest accepted config values; the bank-dependent window floor,
@@ -221,9 +222,9 @@ def _candidate_lists(r, q, sig2, n_max):
     being the list length (n_max, or fewer when the bank has fewer
     index vectors).  Instants are listed in chunks whose length comes
     from the widest array a stage builds: its frontier pairs (see
-    _merge_pairs), not all n_max^2 of them, or its 2^R code scores,
-    counted as 2^R * R; each such array, and each tie fallback's
-    sub-chunk, holds at most _LIST_CHUNK_ELEMENTS elements.
+    _merge_pairs), not all n_max^2 of them, or its 2^R code scores;
+    each such array, and each tie fallback's sub-chunk, holds at most
+    _LIST_CHUNK_ELEMENTS elements.
     """
     r = _soft_bits(r, q)
     T = r.shape[0]
@@ -231,7 +232,7 @@ def _candidate_lists(r, q, sig2, n_max):
     K = widest = 1
     for R in q.rates:
         S = min(n_max, 1 << int(R))
-        widest = max(widest, _merge_pairs(K, S, n_max)[0].size, (1 << int(R)) * int(R))
+        widest = max(widest, _merge_pairs(K, S, n_max)[0].size, 1 << int(R))
         K = min(n_max, K * S)
     u = np.empty((T, K, q.M), dtype=np.int64)
     scores = np.empty((T, K))
@@ -264,9 +265,7 @@ def _merge_pairs(P, S, n):
     pair_s = np.arange(pair_p.size) - np.repeat(start, width)
     front_p = np.flatnonzero(width < S)
     front_s = width[front_p]
-    for a in (pair_p, pair_s, front_p, front_s):
-        a.flags.writeable = False
-    return pair_p, pair_s, front_p, front_s
+    return tuple(_read_only(a) for a in (pair_p, pair_s, front_p, front_s))
 
 
 def _list_chunk(r, q, sig2, n_max):
@@ -321,19 +320,21 @@ def _list_chunk(r, q, sig2, n_max):
         P, S = part_scores.shape[1], stage.shape[1]
         n_codes = scores.shape[1]
 
-        def lex(rows):
+        def lex(rows, frontier=False):
             """Distinct keys, in lexicographic order, of the given rows'
-            P * S pairs: (rank of the partial among its row's, stage
-            column)."""
+            P * S pairs, or of their frontier pairs: (rank of the partial
+            among its row's, stage column)."""
             rank = np.zeros((rows.size, 1), dtype=np.int64)
             if m:
                 u = _traced(parents, picks, rows[:, None])
                 rank = np.lexsort(np.moveaxis(u, -1, 0)[::-1]).argsort(axis=1)
+            if frontier:
+                return rank[:, pair_p] * n_codes + stage[rows][:, pair_s]
             return (rank[:, :, None] * n_codes + stage[rows, None, :]).reshape(rows.size, -1)
 
         pair_p, pair_s, front_p, front_s = _merge_pairs(P, S, n_max)
         new_scores = part_scores[:, pair_p] + stage_scores[:, pair_s]
-        order = _best_first(-new_scores, lambda rows: lex(rows)[:, pair_p * S + pair_s], n_max)
+        order = _best_first(-new_scores, lambda rows: lex(rows, frontier=True), n_max)
         parent, col = pair_p[order], pair_s[order]
         if front_p.size:
             beyond = np.max(part_scores[:, front_p] + stage_scores[:, front_s], axis=1)
@@ -408,15 +409,15 @@ def top_candidates(r, q, ch, n_max):
     ]
 
 
-def _fir_reach(taps, lo, hi):
+def _fir_reach(taps, taps_abs, lo, hi):
     """Centre and radius of the interval sum over l >= 1 of taps[l]
-    applied to the history boxes [lo[:, l-1], hi[:, l-1]] of every
-    stream: two (B, rows) arrays."""
+    (taps_abs[l] being |taps[l]|) applied to the history boxes
+    [lo[:, l-1], hi[:, l-1]] of every stream: two (B, rows) arrays."""
     c = np.zeros((lo.shape[0], taps.shape[1]))
     rad = np.zeros_like(c)
     for l in range(1, taps.shape[0]):
         c = c + _matvec(taps[l], 0.5 * (lo[:, l - 1] + hi[:, l - 1]))
-        rad = rad + _matvec(np.abs(taps[l]), 0.5 * (hi[:, l - 1] - lo[:, l - 1]))
+        rad = rad + _matvec(taps_abs[l], 0.5 * (hi[:, l - 1] - lo[:, l - 1]))
     return c, rad
 
 
@@ -424,15 +425,17 @@ def _history_reach(state, poly):
     """Interval sum of E_l applied to each stream's previous signal
     boxes, i.e. the subband contribution already fixed by the decoding
     history: (lo, hi), each of shape (B, M)."""
-    c, rad = _fir_reach(poly.E, state.x_lo, state.x_hi)
+    c, rad = _fir_reach(poly.E, poly.E_abs, state.x_lo, state.x_hi)
     return c - rad, c + rad
 
 
 def _offset_buffers(input_box, B, K, M):
     """The centre and radius of the (B, K, N + M) offsets of
-    _consistency_batch, their constant input-box columns filled in."""
+    _consistency_batch, their constant input-box columns filled in.
+    Both are views of (N + M, B, K) arrays, so a reduction over their
+    short last axis runs plane by plane."""
     N = input_box.dim
-    c, r = np.empty((2, B, K, N + M))
+    c, r = np.empty((2, N + M, B, K)).transpose(0, 2, 3, 1)
     c[..., :N] = 0.5 * (input_box.lo + input_box.hi)
     r[..., :N] = 0.5 * (input_box.hi - input_box.lo)
     return c, r
@@ -490,7 +493,7 @@ def _parity_cell_terms(cell_lo, cell_hi, parity):
     """The history-free half of the parity residual: P_0 and |P_0| on the
     centre and radius of (..., K, M) cells, one product per (K, M) block."""
     return (0.5 * (cell_lo + cell_hi) @ parity.P[0].T,
-            0.5 * (cell_hi - cell_lo) @ np.abs(parity.P[0]).T)
+            0.5 * (cell_hi - cell_lo) @ parity.P_abs[0].T)
 
 
 def _parity_residual_bounds(cc, cr, y_lo, y_hi, parity):
@@ -500,7 +503,7 @@ def _parity_residual_bounds(cc, cr, y_lo, y_hi, parity):
     cc, cr: (B, K, rows) cell terms (_parity_cell_terms); y_lo, y_hi:
     (B, L', M) subband histories.  Returns two (B, K, rows) arrays.
     """
-    hc, hr = _fir_reach(parity.P, y_lo, y_hi)
+    hc, hr = _fir_reach(parity.P, parity.P_abs, y_lo, y_hi)
     mid = cc + hc[:, None]
     rad = cr + hr[:, None]
     return mid - rad, mid + rad
@@ -551,11 +554,11 @@ def _advance(state, u, cell_lo, cell_hi, use_pct, poly, parity, q, cell_terms=No
     survivor with an error flag when it accepts none); it runs on every
     candidate of every stream in one pass, its verdicts masked by
     use_pct and the consistency verdicts.  The box step then bounds
-    each stream's pick alone, from its rows of the verdict step's c, r
-    and scale, in (B, 1, N + M) products whose rows round as they do
-    for one stream; a pick whose bounds cross is EMPTY too, and its
-    stream picks again.  When consistency rejects everything, the flagged
-    hard-decision fallback is returned.
+    each stream's pick alone, from C-contiguous copies of its rows of
+    the verdict step's c, r and scale, in (B, 1, N + M) products whose
+    rows round as they do for one stream; a pick whose bounds cross is
+    EMPTY too, and its stream picks again.  When consistency rejects
+    everything, the flagged hard-decision fallback is returned.
 
     Returns (u_hat, x_lo, x_hi, y_lo, y_hi, flag, pick, n_consistent),
     one row per stream; pick is the 0-based list position decided.
@@ -655,10 +658,10 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
     The candidate lists of all S streams are built in one listing pass
     over their S*T instants, each row scored with its own channel's
     noise variance, and each stream's lists are shared by its V
-    decoders.  All S*V decoders advance together, and the S streams of
-    each config are synthesized in one stacked call (synthesize_ls with
-    a leading stream axis).  Each decodes exactly as decode_sequence
-    decodes it alone.
+    decoders.  All S*V decoders advance together, and the streams of
+    all configs that share a window are synthesized in one stacked call
+    (synthesize_ls with leading stream axes).  Each decodes exactly as
+    decode_sequence decodes it alone.
 
     Returns results with results[s][v] = (x_hat, diag), the output of
     decode_sequence(rs[s], ..., channels[s], cfgs[v], x_range).
@@ -686,8 +689,10 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
     B = S * V
     src = np.repeat(np.arange(S), V) if V > 1 else slice(None)  # b = s * V + v reads list s
     use_pct = np.array([c.use_pct for c in cfgs] * S)
-    # the (S, T, K, rows) parity cell terms, when a decoder reads them
-    terms = _parity_cell_terms(cell_lo, cell_hi, parity) if use_pct.any() else None
+    # the parity cell terms, when a decoder reads them, stored (T, rows, S, K)
+    # so that each instant's (B, K, rows) views reduce plane by plane
+    terms = [np.ascontiguousarray(t.transpose(1, 3, 0, 2))
+             for t in _parity_cell_terms(cell_lo, cell_hi, parity)] if use_pct.any() else None
     N, M = poly.N, poly.M
     input_box = Box.uniform(x_range.lo, x_range.hi, N)
     state = DecoderState.initial(input_box, poly, parity, streams=B)
@@ -701,12 +706,16 @@ def decode_streams(rs, poly, parity, q, channels, cfgs, x_range):
     for i in range(T):
         u_hat[:, i], lo[:, i], hi[:, i], _, _, flags[:, i], pick, n_consistent[:, i] = _advance(
             state, u[src, i], cell_lo[src, i], cell_hi[src, i], use_pct, poly, parity, q,
-            terms and (terms[0][src, i], terms[1][src, i]), offsets,
+            terms and tuple(t[i][:, src].transpose(1, 2, 0) for t in terms), offsets,
         )
         ranks[:, i] = pick + 1
-    x_hat = np.empty((B, T * N))
-    for v, cfg in enumerate(cfgs):  # streams v, v + V, ... decode under cfgs[v]
-        x_hat[v::V] = synthesize_ls(poly, q.dequantize_block(u_hat[v::V]), window=cfg.window)
+    # stream s * V + v decodes under cfgs[v]: one synthesis call per window
+    x_hat = np.empty((S, V, T * N))
+    for window in dict.fromkeys(c.window for c in cfgs):
+        vs = [v for v, c in enumerate(cfgs) if c.window == window]
+        y = q.dequantize_block(u_hat.reshape(S, V, T, M)[:, vs])
+        x_hat[:, vs] = synthesize_ls(poly, y, window=window)
+    x_hat = x_hat.reshape(B, T * N)
     # widen each verified box symmetrically about the point estimate
     pts = x_hat.reshape(B, T, N)
     rad = np.maximum(np.maximum(pts - lo, hi - pts), 0.0)

@@ -14,6 +14,7 @@ parity bank P_0 .. P_L' annihilates every valid subband stream,
     sum_l P_l @ y[i-l] = 0  for all i.
 """
 
+import functools
 import itertools
 import math
 
@@ -102,6 +103,7 @@ class Polyphase:
         if E.ndim != 3:
             raise ValueError("polyphase array must have shape (L+1, M, N)")
         self.E = E
+        self.E_abs = _read_only(np.abs(E))
         self.L = E.shape[0] - 1
         self.M = E.shape[1]
         self.N = E.shape[2]
@@ -109,6 +111,7 @@ class Polyphase:
         self._certificates = None
         self._frame_sigma = {}  # n_blocks -> smallest frame singular value
         self._synthesis_rows = {}  # (back, fwd, hist) -> emitted rows of the window pinv
+        self._synthesis_plans = {}  # (T, window) -> synthesize_ls's gathers and rows
 
     def left_inverse(self):
         """Cached pseudo-inverse of E_0.  A left inverse proper (W E_0 = I)
@@ -155,8 +158,37 @@ class Polyphase:
             rows = slice((hist + back) * self.N, (hist + back + 1) * self.N)
             if np.max(np.abs(null_proj[rows])) > 1e-8:
                 raise ValueError("central block is not determined by the window system")
-            self._synthesis_rows[key] = pinv[rows]
+            self._synthesis_rows[key] = _read_only(pinv[rows])
         return self._synthesis_rows[key]
+
+    def synthesis_plan(self, T, window):
+        """Cached plan of synthesize_ls for T blocks: per window shape
+        (back, fwd, hist), its (blocks, cols, rows), cols being the
+        columns of the flattened (T * M) stream that its synthesis_rows
+        read.  Block i solves equations i-back .. i+fwd, clipped to the
+        stream, over unknowns from hist blocks before the first one."""
+        key = (T, window)
+        if key not in self._synthesis_plans:
+            i = np.arange(T)
+            back = np.minimum(i, (window - 1) // 2)
+            fwd = np.minimum(T - 1 - i, window // 2)
+            hist = np.minimum(i - back, self.L)
+            shapes, which = np.unique(np.stack([back, fwd, hist], axis=1), axis=0,
+                                      return_inverse=True)
+            plan = []
+            for k, (b, f, h) in enumerate(shapes.tolist()):
+                blocks = np.flatnonzero(which == k)
+                rows = self.synthesis_rows(b, f, h)
+                cols = (blocks[:, None] - b) * self.M + np.arange(rows.shape[1])
+                plan.append((_read_only(blocks), _read_only(cols), rows))
+            self._synthesis_plans[key] = tuple(plan)
+        return self._synthesis_plans[key]
+
+
+def _read_only(a):
+    """a, its writeable flag cleared: a cached array nothing may change."""
+    a.flags.writeable = False
+    return a
 
 
 def _subsets_near_the_box(N, M):
@@ -187,6 +219,7 @@ class ParityCheck:
         self.order = P.shape[0] - 1
         self.rows = P.shape[1]
         self.M = P.shape[2]
+        self.P_abs = _read_only(np.abs(P))
 
 
 def polyphase_from_filters(bank):
@@ -311,6 +344,7 @@ def synthesize_ls(poly, y, window=8):
     window : number of block equations per solve, an integer >= 2*(L+1)
 
     Returns the reconstructed signals as an array of shape (..., T*N).
+    The plan of window solves is cached (Polyphase.synthesis_plan).
     Each window product is a stacked matmul, one product of the
     one-stream shape per stream, so a stream is synthesized bit for bit
     as it is alone.
@@ -326,22 +360,11 @@ def synthesize_ls(poly, y, window=8):
     if sigma <= FRAME_SIGMA_MIN:
         raise ValueError("stacked system is singular: bank violates the frame property")
 
-    # block i solves equations i-back .. i+fwd, clipped to the stream,
-    # over unknowns from hist blocks before the first equation; every
-    # block of one window shape shares one cached solve
     lead, T = y.shape[:-2], y.shape[-2]
-    i = np.arange(T)
-    back = np.minimum(i, (window - 1) // 2)
-    fwd = np.minimum(T - 1 - i, window // 2)
-    hist = np.minimum(i - back, L)
-    shapes, which = np.unique(np.stack([back, fwd, hist], axis=1), axis=0, return_inverse=True)
     y_flat = y.reshape(math.prod(lead), T * M)
     x_hat = np.zeros((y_flat.shape[0], T, N))
-    for k, (b, f, h) in enumerate(shapes.tolist()):
-        blocks = np.flatnonzero(which == k)
-        rows = poly.synthesis_rows(b, f, h)
-        windows = y_flat[:, (blocks[:, None] - b) * M + np.arange(rows.shape[1])]
-        x_hat[:, blocks] = windows @ rows.T
+    for blocks, cols, rows in poly.synthesis_plan(T, window):
+        x_hat[:, blocks] = y_flat[:, cols] @ rows.T
     return x_hat.reshape(*lead, T * N)
 
 
@@ -375,12 +398,18 @@ def _bank_source(name):
     """(text, origin) of the bank file at path name, or of the bundled
     bank when name is "default"."""
     if name == "default":
-        from importlib.resources import files
-
-        text = files("ofbdec.data").joinpath(_DEFAULT_BANK_RESOURCE).read_text()
-        return text, _DEFAULT_BANK_RESOURCE
+        return _default_bank_text(), _DEFAULT_BANK_RESOURCE
     with open(name, "r", encoding="utf-8") as fh:
         return fh.read(), str(name)
+
+
+@functools.cache
+def _default_bank_text():
+    """The bundled bank file's text, read once, on first use.  A bank
+    file given by path is read on every _bank_source call."""
+    from importlib.resources import files
+
+    return files("ofbdec.data").joinpath(_DEFAULT_BANK_RESOURCE).read_text()
 
 
 def load_filter_bank(path):

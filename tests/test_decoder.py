@@ -630,6 +630,63 @@ class TestStepLoop:
         assert without.y_lo.shape == (1, 0, p.poly.M)
 
 
+class TestOffsetLayout:
+    """The verdict step reads its offsets and parity cell terms as
+    feature-major views, and the box step C-contiguous copies of the
+    picks' rows; every step gives on the views what it gives on
+    C-contiguous copies."""
+
+    @pytest.mark.parametrize("bank", ["tiny_pipe", "default_pipe"])
+    def test_views_decide_as_contiguous_copies(self, bank, request, monkeypatch):
+        p = request.getfixturevalue(bank)
+        cert = p.poly.consistency_certificates()
+        batch, bounds, box = decoder._consistency_batch, decoder._parity_residual_bounds, \
+            decoder._certificate_box
+        seen = {"batch": 0, "parity": 0, "box": 0}
+
+        def batch_spy(cell_lo, cell_hi, state, poly, offsets=None):
+            out = batch(cell_lo, cell_hi, state, poly, offsets)
+            c, r, empty, scale = out
+            B, K, D = c.shape
+            for a in (c, r):  # views of (N + M, B, K) arrays
+                assert a.transpose(2, 0, 1).flags.c_contiguous
+                assert offsets is None or np.shares_memory(a, offsets[0]) or \
+                    np.shares_memory(a, offsets[1])
+            cc, rc = np.ascontiguousarray(c), np.ascontiguousarray(r)
+            assert decoder._offset_scale(cc, rc).tobytes() == scale.tobytes()
+            assert np.array_equal(decoder._circuit_empty(cert, cc, rc, scale), empty)
+            for got, want in zip(box(cert, c, r, scale), box(cert, cc, rc, scale)):
+                assert got.tobytes() == want.tobytes()
+            fresh = batch(cell_lo, cell_hi, state, poly)  # no buffers given
+            for got, want in zip(fresh, out):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            seen["batch"] += 1
+            return out
+
+        def bounds_spy(cc, cr, y_lo, y_hi, parity):
+            lo, hi = bounds(cc, cr, y_lo, y_hi, parity)
+            copies = bounds(np.ascontiguousarray(cc), np.ascontiguousarray(cr), y_lo, y_hi, parity)
+            assert lo.tobytes() == copies[0].tobytes() and hi.tobytes() == copies[1].tobytes()
+            assert np.array_equal(decoder._parity_pass(lo, hi), decoder._parity_pass(*copies))
+            seen["parity"] += 1
+            return lo, hi
+
+        def box_spy(cert, c, r, scale):
+            assert c.shape[1:] == (1, p.poly.N + p.poly.M)
+            assert c.flags.c_contiguous and r.flags.c_contiguous
+            seen["box"] += 1
+            return box(cert, c, r, scale)
+
+        monkeypatch.setattr(decoder, "_consistency_batch", batch_spy)
+        monkeypatch.setattr(decoder, "_parity_residual_bounds", bounds_spy)
+        monkeypatch.setattr(decoder, "_certificate_box", box_spy)
+        channels, rs = noisy_streams(p, 30 * p.poly.N, (3.0, 7.0, 11.0), seed=6)
+        cfgs = [DecoderConfig(n_max=12, use_pct=True), DecoderConfig(n_max=12, use_pct=False)]
+        decode_streams(rs, p.poly, p.parity, p.q, channels, cfgs, p.x_range)
+        T = rs[0].shape[0]
+        assert seen["batch"] == seen["parity"] == T and seen["box"] >= T
+
+
 class TestLockstep:
     """decode_streams runs every stream exactly as decode_sequence runs
     it alone, whatever runs beside it."""
@@ -701,6 +758,26 @@ class TestLockstep:
         with pytest.raises(ValueError, match="n_max"):
             decode_streams(rs, p.poly, p.parity, p.q, channels,
                            [DecoderConfig(n_max=4), DecoderConfig(n_max=5)], p.x_range)
+
+
+def test_one_synthesis_call_per_window(tiny_pipe, monkeypatch):
+    """Configs that share a window are synthesized in one call over
+    all their streams, here windows 8, 6, 8 over three streams."""
+    p = tiny_pipe
+    calls = []
+    original = decoder.synthesize_ls
+
+    def spy(poly, y, window):
+        calls.append((y.shape, window))
+        return original(poly, y, window=window)
+
+    monkeypatch.setattr(decoder, "synthesize_ls", spy)
+    channels, rs = noisy_streams(p, 40, (3.0, 6.0, 9.0), seed=2)
+    cfgs = [DecoderConfig(n_max=4, use_pct=False), DecoderConfig(n_max=4, window=6),
+            DecoderConfig(n_max=4, use_pct=True)]
+    decode_streams(rs, p.poly, p.parity, p.q, channels, cfgs, p.x_range)
+    T = rs[0].shape[0]
+    assert calls == [((3, 2, T, p.poly.M), 8), ((3, 1, T, p.poly.M), 6)]
 
 
 @pytest.mark.parametrize("entry", ["step", "decode_sequence", "decode_streams"])

@@ -1,13 +1,16 @@
 """Analysis banks, parity construction, and least-squares synthesis."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ofbdec import filterbank
 from ofbdec.filterbank import (
     FilterBank,
     Polyphase,
+    _bank_source,
     analyze,
     default_filter_bank,
     load_filter_bank,
@@ -19,6 +22,7 @@ from ofbdec.filterbank import (
 )
 
 SQ2 = math.sqrt(2.0)
+DATA = Path(__file__).parent / "data"
 
 
 def direct_subbands(x, taps, N):
@@ -261,6 +265,96 @@ class TestSynthesizeLS:
             assert np.max(np.abs(got - want), initial=0.0) < 1e-10, f"T={T}"
 
 
+def planned_per_call(poly, y, window):
+    """synthesize_ls as it was before its plan was cached: the window
+    shapes found by np.unique and the gather columns built on every
+    call.  The reference the cached plan must match byte for byte."""
+    y = np.asarray(y, dtype=float)
+    M, N, L = poly.M, poly.N, poly.L
+    lead, T = y.shape[:-2], y.shape[-2]
+    i = np.arange(T)
+    back = np.minimum(i, (window - 1) // 2)
+    fwd = np.minimum(T - 1 - i, window // 2)
+    hist = np.minimum(i - back, L)
+    shapes, which = np.unique(np.stack([back, fwd, hist], axis=1), axis=0, return_inverse=True)
+    y_flat = y.reshape(math.prod(lead), T * M)
+    x_hat = np.zeros((y_flat.shape[0], T, N))
+    for k, (b, f, h) in enumerate(shapes.tolist()):
+        blocks = np.flatnonzero(which == k)
+        rows = poly.synthesis_rows(b, f, h)
+        windows = y_flat[:, (blocks[:, None] - b) * M + np.arange(rows.shape[1])]
+        x_hat[:, blocks] = windows @ rows.T
+    return x_hat.reshape(*lead, T * N)
+
+
+def walsh_poly():
+    return polyphase_from_filters(load_filter_bank(DATA / "walsh_12x8.txt"))
+
+
+class TestSynthesisPlan:
+    """synthesize_ls reads a plan cached per (T, window) on its
+    Polyphase and emits exactly what planning on every call did."""
+
+    @pytest.mark.parametrize("bank", ["default", "walsh"])
+    @pytest.mark.parametrize("window", [4, 5, 8, 9])
+    def test_cached_plan_matches_the_per_call_plan(self, bank, window):
+        poly = polyphase_from_filters(default_filter_bank()) if bank == "default" else walsh_poly()
+        rng = np.random.default_rng(window)
+        for T in (0, 1, 2, 3, 7, 8, 9, 26, 129):
+            for lead in ((), (3,), (2, 3)):
+                y = rng.normal(size=(*lead, T, poly.M))
+                want = planned_per_call(poly, y, window)
+                for _ in range(2):  # planned, then read from the cache
+                    got = synthesize_ls(poly, y, window=window)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (T, lead)
+
+    def test_second_call_plans_nothing(self, monkeypatch):
+        poly = polyphase_from_filters(default_filter_bank())
+        calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        y = np.ones((26, poly.M))
+        first = synthesize_ls(poly, y, window=8)
+        assert len(calls) == 1
+        assert synthesize_ls(poly, 2.0 * y, window=8).tobytes() == (2.0 * first).tobytes()
+        assert len(calls) == 1
+        synthesize_ls(poly, y[:9], window=8)  # another length plans anew
+        synthesize_ls(poly, y, window=9)  # and so does another window
+        assert len(calls) == 3
+
+    def test_cached_arrays_are_read_only(self, default_pipe):
+        poly, parity = default_pipe.poly, default_pipe.parity
+        plan = poly.synthesis_plan(26, 8)
+        cached = [a for part in plan for a in part] + [poly.E_abs, parity.P_abs]
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+        assert np.array_equal(poly.E_abs, np.abs(poly.E))
+        assert np.array_equal(parity.P_abs, np.abs(parity.P))
+
+    def test_two_banks_never_share_a_plan(self):
+        bundled = polyphase_from_filters(default_filter_bank())
+        scaled = Polyphase(2.0 * bundled.E)  # equal shapes, other rows
+        again = polyphase_from_filters(default_filter_bank())
+        y = np.random.default_rng(3).normal(size=(26, bundled.M))
+        for other in (scaled, again):
+            mine, theirs = bundled.synthesis_plan(26, 8), other.synthesis_plan(26, 8)
+            assert mine is not theirs
+            for a, b in zip(mine, theirs):
+                for x, z in zip(a, b):
+                    assert not np.shares_memory(x, z)
+        assert synthesize_ls(scaled, y, window=8).tobytes() == \
+            planned_per_call(scaled, y, 8).tobytes()
+        assert not np.allclose(synthesize_ls(scaled, y, window=8),
+                               synthesize_ls(bundled, y, window=8))
+
+
 class TestBankFiles:
     def test_default_bank_shape(self, default_pipe):
         bank = default_pipe.bank
@@ -284,6 +378,22 @@ class TestBankFiles:
                 assert np.allclose(
                     default_pipe.poly.E[l][m], padded[l * N : (l + 1) * N]
                 )
+
+    def test_bundled_text_is_read_once_a_path_every_time(self, tmp_path, monkeypatch):
+        from importlib import resources
+
+        filterbank._default_bank_text.cache_clear()
+        reads = []
+        files = resources.files
+        monkeypatch.setattr(resources, "files", lambda pkg: reads.append(pkg) or files(pkg))
+        first = _bank_source("default")
+        assert _bank_source("default") == first
+        assert reads == ["ofbdec.data"]
+        path = tmp_path / "bank.txt"
+        path.write_text("3 2 0\n1 0\n0 1\n1 1\n")
+        assert _bank_source(str(path)) == ("3 2 0\n1 0\n0 1\n1 1\n", str(path))
+        path.write_text("3 2 0\n1 0\n0 1\n1 -1\n")
+        assert _bank_source(str(path))[0] == "3 2 0\n1 0\n0 1\n1 -1\n"
 
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "bank.txt"

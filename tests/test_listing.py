@@ -111,6 +111,61 @@ class TestFrontierPaths:
         assert sum(rows for rows, width in calls if width == 64 * 64) == 2000 * (q.M - 1)
 
 
+def recorded_chunks(monkeypatch):
+    """Wrap _list_chunk and _sorted_head, through which every stage's
+    code-score sort and merge goes; returns the lists of chunk lengths
+    and of (rows, width) arrays sorted."""
+    chunks, arrays = [], []
+    list_chunk, sorted_head = decoder._list_chunk, decoder._sorted_head
+
+    def chunk_spy(rows, *args):
+        chunks.append(rows.shape[0])
+        return list_chunk(rows, *args)
+
+    def head_spy(neg, n):
+        arrays.append(neg.shape)
+        return sorted_head(neg, n)
+
+    monkeypatch.setattr(decoder, "_list_chunk", chunk_spy)
+    monkeypatch.setattr(decoder, "_sorted_head", head_spy)
+    return chunks, arrays
+
+
+class TestChunkSizes:
+    """Chunks are sized by the widest array a stage really builds: its
+    frontier pairs or its 2^R code scores."""
+
+    def test_image_rows_fill_the_budget(self, default_pipe, monkeypatch):
+        """The 129 rows of an image round at n_max 64 are listed in 2
+        chunks, whose widest arrays are the 280 frontier pairs, and
+        each row as it is listed alone."""
+        q = image_quantizers(default_pipe)
+        ch = ChannelModel(7.0, seed=4)
+        bits = ch.stream(0).integers(0, 2, size=(129, q.total_bits))
+        r = ch.transmit(bits, ch.stream(1))
+        sig2 = ch.effective_sigma2()
+        want = [_candidate_lists(row[None], q, sig2, 64) for row in r]
+        chunks, arrays = recorded_chunks(monkeypatch)
+        u, scores = _candidate_lists(r, q, sig2, 64)
+        assert len(chunks) == 2 and sum(chunks) == 129
+        assert max(rows * width for rows, width in arrays) <= _LIST_CHUNK_ELEMENTS
+        assert max(width for _, width in arrays) == 280
+        for i, (want_u, want_s) in enumerate(want):
+            assert np.array_equal(u[i], want_u[0]), i
+            assert scores[i].tobytes() == want_s[0].tobytes(), i
+
+    def test_code_scores_can_be_the_widest(self, monkeypatch):
+        """A 12-bit subband's 4096 code scores outgrow every merge at
+        n_max 8, so 40 rows go in chunks of 2^15 / 4096 = 8."""
+        ones = np.ones(2)
+        q = QuantizerBank(ones, [12, 2], Box(-2.0**16 * ones, 2.0**16 * ones))
+        r = np.random.default_rng(12).normal(size=(40, q.total_bits))
+        chunks, arrays = recorded_chunks(monkeypatch)
+        _candidate_lists(r, q, 0.4, 8)
+        assert chunks == [8] * 5
+        assert max(rows * width for rows, width in arrays) == _LIST_CHUNK_ELEMENTS
+
+
 class TestWhereTiesFall:
     """Each stage sorts by score alone and breaks ties only in rows
     where two of its n_max + 1 best scores tie; such rows sit in the
